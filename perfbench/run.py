@@ -162,6 +162,9 @@ def percentile(values: list[float], q: float) -> float:
 
 def child_env(work: Path, **extra: str) -> dict:
     env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    # Set-up is measured with compiled bytecode cached (under PYCACHE), as
+    # an installed package has it, whatever the calling environment says.
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.update(
         PYTHONPATH=str(SRC),
         PYTHONPYCACHEPREFIX=str(PYCACHE),
