@@ -77,18 +77,23 @@ GA_GENERATIONS = 8
 #: serve_mixed: offered rate (requests/s), share of fresh specs, specs
 #: answered before the schedule starts (the pool store hits repeat), and
 #: the fewest requests a run sends (p90 then has 10 samples beyond it).
-#: 24 fresh specs (8 proxies per suite) keep the evaluation thread busy
-#: under a third of the time, so most store hits find it idle and the
-#: median measures the hit path even on a slow host.  Of 200 requests, 20
-#: lie beyond p90, which leaves p90 inside the cluster of MiBench-sized
-#: fresh evaluations rather than on a boundary between two latency modes.
+#: A store hit that arrives while a fresh spec is evaluated waits for the
+#: evaluation thread to release the GIL (6 to 130 ms instead of ~1 ms), so
+#: the share of hits that find the daemon idle is one minus the share of
+#: time it evaluates.  The median lands among the idle hits only while
+#: that share stays well above one half: fresh specs are MiBench-sized
+#: programs (120-210 ms each, against 120-500 ms over all 33 proxies),
+#: which keeps the daemon busy about 15% of the schedule and the median
+#: near the 65th percentile of the idle hits rather than in their tail.
+#: Of 200 requests, 24 are fresh and 20 lie beyond p90, so p90 sits inside
+#: the cluster of fresh evaluations, above the slowest overlapped hits.
 #: A fresh share near one half put the median on the boundary between the
 #: ~1 ms hit and ~300 ms fresh modes, and it jumped from run to run.
 SERVE_RATE = 8.0
 SERVE_FRESH_SHARE = 0.12
 SERVE_PRIMED = 8
 SERVE_MIN_REQUESTS = 100
-#: Workload seeds of the primed and the fresh programs.
+#: Workload seeds of the primed programs and the first fresh ones.
 SERVE_PRIMED_PROGRAM_SEED = 101
 SERVE_FRESH_PROGRAM_SEED = 202
 #: The sender sleeps until this close to a due time, then spins.
@@ -483,7 +488,7 @@ class Daemon:
 
 def serve_inputs(seed: int, seconds: float) -> tuple[list[dict], list[tuple[float, dict]]]:
     """The primed specs and the (due time, spec) schedule for one seed."""
-    from repro.workloads.suite import all_profiles
+    from repro.workloads.suite import all_profiles, mibench_profiles
 
     proxies = [profile.name for profile in all_profiles()]
     rng = random.Random(f"serve_mixed:{seed}")
@@ -504,9 +509,7 @@ def serve_inputs(seed: int, seconds: float) -> tuple[list[dict], list[tuple[floa
         }
 
     def spread(count: int) -> list[str]:
-        # An evenly spaced, seed-independent subset of the proxies: their
-        # evaluation cost and memory differ about threefold, so every run
-        # evaluates the same mix and only programs, seeds and order vary.
+        # An evenly spaced, seed-independent subset of the proxies.
         return [proxies[index * len(proxies) // count % len(proxies)] for index in range(count)]
 
     # Programs (workload seeds) are fixed and distinct between the primed and
@@ -518,8 +521,13 @@ def serve_inputs(seed: int, seconds: float) -> tuple[list[dict], list[tuple[floa
               for index, proxy in enumerate(spread(SERVE_PRIMED))]
     count = max(SERVE_MIN_REQUESTS, round(SERVE_RATE * seconds))
     fresh_count = round(count * SERVE_FRESH_SHARE)
-    fresh_proxies = spread(fresh_count)
-    rng.shuffle(fresh_proxies)
+    # Each fresh spec is one MiBench proxy instance: the proxies in turn,
+    # each round with the next program seed, so no two fresh specs share a
+    # program and every run evaluates the same programs.
+    mibench = [profile.name for profile in mibench_profiles()]
+    fresh_programs = [(mibench[index % len(mibench)], SERVE_FRESH_PROGRAM_SEED + index // len(mibench))
+                      for index in range(fresh_count)]
+    rng.shuffle(fresh_programs)
     # Fresh specs take evenly spaced slots (the first at a seed-chosen
     # offset), so one rarely queues behind another and p90 tracks the
     # evaluation path rather than where the seed happened to cluster them.
@@ -531,7 +539,7 @@ def serve_inputs(seed: int, seconds: float) -> tuple[list[dict], list[tuple[floa
     for index in range(count):
         due = (index + 1 + rng.uniform(-0.4, 0.4)) * interval
         if index in fresh_slots:
-            spec = fresh(f"{seed}-{index}", fresh_proxies.pop(), SERVE_FRESH_PROGRAM_SEED)
+            spec = fresh(f"{seed}-{index}", *fresh_programs.pop())
         else:
             spec = rng.choice(primed)
         schedule.append((due, spec))
