@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke batch-smoke chaos-smoke serve-smoke serve-chaos-smoke serve-bench
+.PHONY: test benchmarks bench bench-smoke specs-smoke store-smoke avf-smoke avf-golden kernel-smoke chaos-smoke serve-smoke serve-chaos-smoke serve-bench
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -38,18 +38,14 @@ avf-smoke:
 avf-golden:
 	$(PYTHON) -c "from repro.avf.goldens import write_golden; write_golden()"
 
-# Tier-2 kernel gate: specialized-kernel vs interpreter parity on the golden
-# workload matrix, plus a kernel throughput floor vs BENCH_pipeline.json
-# (see PERFORMANCE.md and ARCHITECTURE.md, "Kernel lifecycle").
+# Tier-2 kernel gate: the compiled `vector` path byte-identical to the
+# interpreter on the golden workload matrix and on GA populations (baseline
+# and extended), a kernel throughput floor vs BENCH_pipeline.json, and
+# vector-vs-interpreter speedup floors on a GA batch and on the workload
+# suite vs BENCH_ga.json (see PERFORMANCE.md and ARCHITECTURE.md, "Kernel
+# lifecycle").
 kernel-smoke:
 	REPRO_KERNEL_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_kernel_smoke.py -m kernel_smoke -q
-
-# Tier-2 batch-plane gate: population AVF/SER byte-identical between the
-# batch kernel backend and the interpreter, plus a batch-vs-per-genome
-# speedup floor against the BENCH_ga.json baseline (see PERFORMANCE.md and
-# ARCHITECTURE.md, "Batch evaluation plane").
-batch-smoke:
-	REPRO_BATCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_batch_smoke.py -m batch_smoke -q
 
 # Tier-2 fault-tolerance gate: a jobs=4 GA under injected worker kills and a
 # torn store write must finish byte-identical to a clean serial run, with

@@ -57,16 +57,10 @@ def pytest_configure(config: pytest.Config) -> None:
     )
     config.addinivalue_line(
         "markers",
-        "kernel_smoke: specialized-kernel gate — kernel/interpreter parity on "
-        "the golden matrix plus a kernel throughput floor (run via "
+        "kernel_smoke: compiled-kernel gate — vector/interpreter byte parity "
+        "on the golden matrix and on GA populations, a kernel throughput "
+        "floor and vector-vs-interpreter speedup floors (run via "
         "`make kernel-smoke` or REPRO_KERNEL_SMOKE=1; see PERFORMANCE.md)",
-    )
-    config.addinivalue_line(
-        "markers",
-        "batch_smoke: batch evaluation-plane gate — population AVF/SER "
-        "byte-compared between the batch kernel backend and the interpreter, "
-        "plus a batch-vs-per-genome speedup floor (run via `make batch-smoke` "
-        "or REPRO_BATCH_SMOKE=1; see PERFORMANCE.md)",
     )
     config.addinivalue_line(
         "markers",

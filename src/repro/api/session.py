@@ -39,7 +39,6 @@ shards can execute on separate machines and be joined with ``repro merge``.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.api import components as _components  # noqa: F401  (installs registries)
 from repro.api.registry import (
     BACKENDS,
-    CONFIGS,
     FAULT_RATES,
     FITNESS_OBJECTIVES,
     KERNEL_BACKENDS,
@@ -62,8 +60,6 @@ from repro.api.registry import (
 from repro.api.spec import RunResult, RunSpec, SpecError, build_provenance
 from repro.avf.analysis import StructureGroup
 from repro.experiments.runner import ExperimentContext, ExperimentScale, WorkloadReportSet
-from repro.memory.cache import CacheConfig
-from repro.memory.tlb import TlbConfig
 from repro.parallel.backends import EvaluationBackend, create_backend, resolve_jobs
 from repro.parallel.resilience import FailurePolicy, RetryPolicy
 from repro.stressmark.fitness import FitnessFunction
@@ -122,7 +118,7 @@ class Session:
         # fields > REPRO_RETRY_* environment > library defaults.
         self._pinned_retry: Optional[RetryPolicy] = retry
         # Kernel-backend precedence: pinned (CLI --kernel-backend) > spec >
-        # REPRO_KERNEL_BACKEND environment > the registry default (batch).
+        # REPRO_KERNEL_BACKEND environment > the registry default (vector).
         self._pinned_kernel_backend: Optional[str] = kernel_backend
         self._resume = bool(resume)
         self._store: Optional["ResultStore"] = None
@@ -185,24 +181,7 @@ class Session:
         )
 
     def resolve_config(self, spec: RunSpec) -> MachineConfig:
-        config = CONFIGS.create(spec.config)
-        if not spec.config_overrides:
-            return config
-        overrides = dict(spec.config_overrides)
-        # Nested cache/TLB overrides arrive as JSON mappings.
-        for key in ("dl1", "il1", "l2"):
-            if isinstance(overrides.get(key), Mapping):
-                overrides[key] = _replace_fields(getattr(config, key), overrides[key], CacheConfig, key)
-        if isinstance(overrides.get("dtlb"), Mapping):
-            overrides["dtlb"] = _replace_fields(config.dtlb, overrides["dtlb"], TlbConfig, "dtlb")
-        if "name" not in overrides:
-            # Derived configs get a content-addressed name so the context's
-            # per-config caches never mix a derivative with its base.
-            overrides["name"] = f"{spec.config}+{_overrides_digest(spec.config_overrides)}"
-        try:
-            return config.derive(**overrides)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid config_overrides for {spec.config!r}: {exc}") from exc
+        return spec.machine_config()
 
     def resolve_scale(self, spec: RunSpec) -> ExperimentScale:
         if self._pinned_scale is not None:
@@ -236,7 +215,7 @@ class Session:
         """The kernel-backend name a spec runs under (pinned > spec).
 
         Empty string means "no pin": the registry's own resolution
-        (``REPRO_KERNEL_BACKEND`` environment, then the ``batch`` default)
+        (``REPRO_KERNEL_BACKEND`` environment, then the ``vector`` default)
         applies at simulation time.  Purely an execution choice — every
         backend is bit-identical — so it never enters store keys.
         """
@@ -511,19 +490,3 @@ class Session:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _replace_fields(current, overrides: Mapping[str, object], datacls, label: str):
-    """Apply a nested override mapping to a frozen sub-config dataclass."""
-    from dataclasses import fields as dataclass_fields, replace
-
-    known = {f.name for f in dataclass_fields(datacls)}
-    for key in overrides:
-        if key not in known:
-            raise SpecError(f"unknown {label} override field {key!r} (known: {', '.join(sorted(known))})")
-    return replace(current, **dict(overrides))
-
-
-def _overrides_digest(overrides: Mapping[str, object]) -> str:
-    canonical = json.dumps(overrides, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]

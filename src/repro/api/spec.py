@@ -41,6 +41,8 @@ from repro.api.registry import (
     suggest as _suggest,
 )
 from repro.experiments.runner import ExperimentScale
+from repro.memory.cache import CacheConfig
+from repro.memory.tlb import TlbConfig
 from repro.uarch.config import MachineConfig
 
 #: The request kinds a Session understands.
@@ -72,10 +74,10 @@ class RunSpec:
     per-item deadline in seconds); unset means the ``REPRO_RETRY_*``
     environment (or library defaults) applies.  ``kernel_backend`` pins how
     simulations execute (a :data:`~repro.uarch.kernel_backends.
-    KERNEL_BACKENDS` name — ``batch``/``source``/``interpreted``/``vector``,
-    the last needing the optional numpy dependency at run time); unset
-    means the ``REPRO_KERNEL_BACKEND`` environment (or the ``batch``
-    default) applies — all backends are bit-identical, so this never changes
+    KERNEL_BACKENDS` name — ``vector`` or ``interpreted``, with ``batch``
+    and ``source`` accepted as aliases of ``vector``); unset means the
+    ``REPRO_KERNEL_BACKEND`` environment (or the ``vector`` default)
+    applies — the backends are bit-identical, so this never changes
     results or digests.  Sweep-only fields: ``base``, ``axes``, ``runs``.
     """
 
@@ -127,7 +129,38 @@ class RunSpec:
             self._validate_sweep()
         elif self.base is not None or self.axes or self.runs:
             raise SpecError(f"base/axes/runs are only valid for kind='sweep', not {self.kind!r}")
+        elif self.config_overrides:
+            self.machine_config()  # registered configs are valid as built
         return self
+
+    def machine_config(self) -> MachineConfig:
+        """The machine configuration this spec runs on, overrides applied.
+
+        Raises :class:`SpecError` for overrides the configuration rejects
+        (unknown nested fields, zero or inconsistent geometry), so a spec
+        that validates can always build its machine.
+        """
+        config = CONFIGS.create(self.config)
+        if not self.config_overrides:
+            return config
+        overrides = dict(self.config_overrides)
+        try:
+            # Nested cache/TLB overrides arrive as JSON mappings.
+            for key in ("dl1", "il1", "l2"):
+                if isinstance(overrides.get(key), Mapping):
+                    overrides[key] = _replace_fields(getattr(config, key), overrides[key], CacheConfig, key)
+            if isinstance(overrides.get("dtlb"), Mapping):
+                overrides["dtlb"] = _replace_fields(config.dtlb, overrides["dtlb"], TlbConfig, "dtlb")
+            if "name" not in overrides:
+                # Derived configs get a content-addressed name so the
+                # context's per-config caches never mix a derivative with
+                # its base.
+                overrides["name"] = f"{self.config}+{_overrides_digest(self.config_overrides)}"
+            return config.derive(**overrides)
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"invalid config_overrides for {self.config!r}: {exc}") from exc
 
     def _check_component_names(self) -> None:
         CONFIGS.get(self.config)
@@ -317,6 +350,20 @@ class RunSpec:
     def label(self) -> str:
         """Human-readable identifier used in printed output."""
         return self.name or f"{self.kind}:{self.config}/{self.fault_rates}"
+
+
+def _replace_fields(current, overrides: Mapping[str, object], datacls, label: str):
+    """Apply a nested override mapping to a frozen sub-config dataclass."""
+    known = {f.name for f in dataclass_fields(datacls)}
+    for key in overrides:
+        if key not in known:
+            raise SpecError(f"unknown {label} override field {key!r} (known: {', '.join(sorted(known))})")
+    return replace(current, **dict(overrides))
+
+
+def _overrides_digest(overrides: Mapping[str, object]) -> str:
+    canonical = json.dumps(overrides, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
 
 
 def _jsonify(mapping: Mapping[str, object]) -> dict:

@@ -202,12 +202,12 @@ def _cmd_bench(session: Session, args: argparse.Namespace) -> None:
     ledger = metrics["ledger"]
     ga = metrics["ga"]
     parallel = metrics["parallel"]
-    kernel_batch = metrics["kernel_batch"]
     _print_rows(
         "Benchmark: single detailed simulation (BENCH_pipeline.json)",
         [{
             "instructions": pipeline["instructions"],
             "seconds": pipeline["seconds"],
+            "cold_seconds": pipeline["cold_seconds"],
             "insn_per_sec": pipeline["instructions_per_second"],
             "ipc": pipeline["ipc"],
             "kernel": str(pipeline["kernel"]),
@@ -238,31 +238,17 @@ def _cmd_bench(session: Session, args: argparse.Namespace) -> None:
             "deterministic": str(parallel["deterministic"]),
         }],
     )
+    kernel_vector = metrics["kernel_vector"]
     _print_rows(
-        "Benchmark: batch kernel plane vs per-genome kernels (BENCH_ga.json)",
+        "Benchmark: compiled kernel vs interpreter (BENCH_ga.json)",
         [{
-            "batch": kernel_batch["batch"],
-            "batch_ms_per_genome": kernel_batch["batch_ms_per_genome"],
-            "source_ms_per_genome": kernel_batch["source_ms_per_genome"],
-            "batch_speedup": kernel_batch["speedup"],
-            "deterministic": str(kernel_batch["deterministic"]),
+            "ga_batch": kernel_vector["batch"],
+            "ga_speedup": kernel_vector["ga_speedup"],
+            "suite_programs": kernel_vector["suite_programs"],
+            "suite_speedup": kernel_vector["suite_speedup"],
+            "deterministic": str(kernel_vector["deterministic"]),
         }],
     )
-    kernel_vector = metrics["kernel_vector"]
-    if kernel_vector.get("available"):
-        _print_rows(
-            "Benchmark: vector kernel plane vs batch plane (BENCH_ga.json)",
-            [{
-                "batch": kernel_vector["batch"],
-                "vector_ms_per_genome": kernel_vector["vector_ms_per_genome"],
-                "batch_ms_per_genome": kernel_vector["batch_ms_per_genome"],
-                "vector_speedup": kernel_vector["speedup"],
-                "deterministic": str(kernel_vector["deterministic"]),
-            }],
-        )
-    else:
-        print("\n=== Benchmark: vector kernel plane — skipped (numpy not "
-              "installed; pip install repro-avf-stressmark[vector]) ===")
 
 
 def _cmd_stressmark(session: Session, args: argparse.Namespace) -> None:
@@ -347,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "and replaced (resilient backend, --jobs > 1; "
                              "default: $REPRO_RETRY_TIMEOUT, then unlimited)")
     parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS.names(), default=None,
-                        help="how simulations execute: 'batch' (population-at-once "
-                             "compiled kernels, the default), 'source' (per-program "
-                             "kernels) or 'interpreted' (reference loop); all are "
-                             "bit-identical (default: $REPRO_KERNEL_BACKEND, then batch)")
+                        help="how simulations execute: 'vector' (the compiled "
+                             "kernel; 'batch' and 'source' are aliases) or "
+                             "'interpreted' (reference loop); both are bit-identical "
+                             "(default: $REPRO_KERNEL_BACKEND, then vector)")
     parser.add_argument("--repair", action="store_true",
                         help="fsck command only: repair salvageable damage in place "
                              "(truncate torn JSONL tails, drop unloadable checkpoints, "
@@ -409,18 +395,13 @@ def _cmd_list() -> None:
         "kernel_backends": "kernel backends",
         "structures": "tracked structures",
     }
-    from repro.uarch.kernel_backends import unavailable_reason
+    from repro.uarch.kernel_backends import ALIASES
 
     for key, registry in registries().items():
         names = registry.names()
         if key == "kernel_backends":
-            # Backends stay registered even when a runtime dependency is
-            # missing (specs naming them validate uniformly); the listing
-            # says so instead of hiding the entry.
             names = [
-                f"{name} (unavailable: {reason})"
-                if (reason := unavailable_reason(name)) is not None
-                else name
+                f"{name} (alias of {ALIASES[name]})" if name in ALIASES else name
                 for name in names
             ]
         print(f"  {labels.get(key, key):<20s} {', '.join(names)}")

@@ -1,20 +1,18 @@
 """Performance regression harness (``repro bench``).
 
-Times the repository's three throughput-critical paths and records the
-numbers as *trajectories* in JSON files, so every future change is held to
-the recorded baselines:
+Times the repository's throughput-critical paths and records the numbers
+as *trajectories* in JSON files, so every future change is held to the
+recorded baselines:
 
 * ``BENCH_pipeline.json`` — one 50k-instruction detailed simulation of the
   reference stressmark on the baseline configuration (the unit of work every
-  GA fitness evaluation pays).
+  GA fitness evaluation pays), cold (kernel build included) and warm.
 * ``BENCH_ga.json`` — one full quick-scale GA stressmark search (a small
   number of generations, the shape of every figure-5/7/8 experiment), plus
   the wall-clock speedup of the process-pool backend over the serial backend
-  on one batch of independent evaluations, plus the batch kernel plane's
-  speedup over the per-genome source-kernel path on one GA-shaped batch of
-  fresh genomes (``kernel_batch``), plus the numpy vector plane's speedup
-  over the batch plane on the same batch shape (``kernel_vector``; records
-  ``{"available": False}`` when numpy is not installed).
+  on one batch of independent evaluations, plus the compiled path's
+  speedup over the interpreted reference on a GA-shaped batch of fresh
+  genomes and on the workload-proxy suite (``kernel_vector``).
 
 Every entry also records the environment it was measured in (python,
 machine, numpy version or ``"absent"``, timestamp) so trajectory numbers
@@ -63,15 +61,17 @@ def _best_of(callable_, repeats: int) -> float:
 def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
     """Time a single detailed simulation of the reference stressmark.
 
-    Times both execution paths — the specialized kernel (the default; see
+    Times both execution paths — the compiled kernel (the default; see
     PERFORMANCE.md and ``REPRO_KERNEL``) and the interpreted reference loop
-    — and asserts they produce identical results.  ``seconds`` /
-    ``instructions_per_second`` describe the *active* default path, which is
-    what every GA fitness evaluation pays; ``kernel_build_seconds`` is the
-    one-time codegen + compile cost of the kernel (paid once per distinct
-    program per process, amortised by the memo and the artifact store).
+    — and asserts they produce identical results.  ``cold_seconds`` is the
+    first run after every kernel memo is cleared, so it includes the kernel
+    build, the functional warm-up and its freeze, as a fresh process pays
+    them; ``seconds`` / ``instructions_per_second`` describe the warm path
+    every later GA fitness evaluation pays.  ``kernel_build_seconds`` is the
+    codegen + compile cost of the configuration's kernel alone.
     """
     from repro.uarch import kernel as kernel_cache
+    from repro.uarch.kernelgen import generate_vector_kernel_source
 
     config = baseline_config()
     generator = StressmarkGenerator(config=config, max_instructions=instructions)
@@ -89,21 +89,18 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
         # Direct codegen + compile cost, independent of the memo state (the
         # throwaway code object is not installed in the kernel cache).
         build_start = time.perf_counter()
-        kernel_cache.compile_kernel(
-            kernel_cache.kernel_source(config, program), ("bench", "probe")
-        )
+        kernel_cache.compile_vector_kernel(generate_vector_kernel_source(config), "bench-probe")
         build_seconds = time.perf_counter() - build_start
-    result = core.run(program, max_instructions=instructions)  # warm-up + stats
+    kernel_cache.clear_kernels()
+    cold_start = time.perf_counter()
+    result = core.run(program, max_instructions=instructions)
+    cold_seconds = time.perf_counter() - cold_start
     seconds = _best_of(lambda: core.run(program, max_instructions=instructions), repeats)
-    kernel_identical = (
-        result.stats == interpreted_result.stats
-        and {n: (a.occupied_entry_cycles, a.ace_bit_cycles) for n, a in result.accumulators.items()}
-        == {n: (a.occupied_entry_cycles, a.ace_bit_cycles)
-            for n, a in interpreted_result.accumulators.items()}
-    )
+    kernel_identical = _signature(result) == _signature(interpreted_result)
     return {
         "instructions": instructions,
         "seconds": seconds,
+        "cold_seconds": cold_seconds,
         "instructions_per_second": instructions / seconds if seconds > 0 else 0.0,
         "total_cycles": result.stats.total_cycles,
         "ipc": result.stats.ipc,
@@ -113,6 +110,14 @@ def bench_pipeline(instructions: int = 50_000, repeats: int = 3) -> dict:
         "interpreted_seconds": interpreted_seconds,
         "kernel_speedup": interpreted_seconds / seconds if kernel_active and seconds > 0 else 1.0,
     }
+
+
+def _signature(result) -> tuple:
+    """Everything a simulation result can be compared on, exactly."""
+    return (
+        result.stats,
+        {n: (a.occupied_entry_cycles, a.ace_bit_cycles) for n, a in result.accumulators.items()},
+    )
 
 
 def bench_ledger(events: int = 200_000, repeats: int = 3) -> dict:
@@ -311,116 +316,34 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     }
 
 
-def bench_batch_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
-    """Population-at-once batch kernels vs the per-genome source-kernel path.
+def bench_vector_speedup(
+    batch: int = 8, instructions: int = 6_000, suite_instructions: int = 4_000
+) -> dict:
+    """The compiled path vs the interpreted reference, on two shapes.
 
-    Times the comparison the batch evaluation plane exists for: one
-    GA-generation-shaped batch of ``batch`` *fresh* genomes (never seen by
-    any kernel memo), run once through the ``batch`` backend's ``run_many``
-    — one config-specialized kernel, shared functional warm state, one
-    operand plan per batch — and once through the ``source`` backend's
-    per-genome ``run_one`` loop, which pays codegen + compile + functional
-    warm-up for every genome, exactly what GA generations cost before the
-    batch plane.  An untimed warm-up batch first compiles the config batch
-    kernel and builds the shared warm state, so ``batch_seconds`` measures
-    the steady state a GA search lives in; fresh batches still pay their
-    own operand plans inside the timed region (so does every real
-    generation).  The source side has no cross-genome state to warm — that
-    asymmetry *is* the measurement.  The two backends touch disjoint memo
-    caches, and the probe clears every in-process kernel memo first (other
-    benchmarks in the same process touch overlapping programs), so both
-    sides meet the same fresh programs cold; each side is best-of-two over
-    two distinct fresh batches, and both must produce bit-identical
-    simulation results (``deterministic``).  The recorded ``speedup`` is
-    the number the ``batch-smoke`` tier-2 gate holds future changes to.
+    * **GA batch** — one GA-generation-shaped batch of ``batch`` *fresh*
+      genomes (never seen by any memo) through the ``vector`` backend's
+      ``run_many`` and through the interpreter.  An untimed warm-up batch
+      first compiles the config kernel and freezes the shared warm state,
+      so the vector side measures the steady state a GA search lives in;
+      fresh batches still pay their own operand plans and column builds
+      inside the timed region (so does every real generation).  Each side
+      is best-of-two over two distinct fresh batches.
+    * **workload suite** — every workload proxy of the registered suites,
+      built for the baseline config and simulated one at a time through
+      ``run_one``, as the figure commands do.  Each proxy has its own
+      warm-up footprint, so the vector side pays one functional warm-up and
+      freeze per proxy inside the timed region; only the config kernel is
+      compiled beforehand.
+
+    Both shapes must be bit-identical to the interpreter
+    (``deterministic``).  ``ga_speedup`` and ``suite_speedup`` are the
+    numbers the ``kernel-smoke`` tier-2 gate holds future changes to.
     """
     from repro.uarch import kernel as kernel_cache
-    from repro.uarch.kernel_backends import BATCH, SOURCE
-
-    config = baseline_config()
-    generator = StressmarkGenerator(config=config, max_instructions=instructions)
-    reference = reference_knobs(config)
-    codegen = generator.codegen
-
-    def programs(first_seed: int) -> list:
-        return [
-            codegen.generate(reference.derive(random_seed=seed))
-            for seed in range(first_seed, first_seed + batch)
-        ]
-
-    from repro.uarch import kernel_batch
-
-    kernel_cache.clear_kernels()
-    kernel_batch.clear_batch_caches()
-    core = OutOfOrderCore(config, seed=generator.simulation_seed)
-    kernel_active = kernel_cache.kernel_enabled()
-    BATCH.run_many(core, programs(0), instructions)  # untimed warm-up batch
-
-    fresh_batches = [programs(batch), programs(2 * batch)]
-
-    batch_results = []
-    batch_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        batch_results.append(BATCH.run_many(core, fresh, instructions))
-        batch_timings.append(time.perf_counter() - start)
-    batch_seconds = min(batch_timings)
-
-    source_results = []
-    source_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        source_results.append(
-            [SOURCE.run_one(core, program, instructions) for program in fresh]
-        )
-        source_timings.append(time.perf_counter() - start)
-    source_seconds = min(source_timings)
-
-    def signature(result) -> tuple:
-        return (
-            result.stats,
-            {n: (a.occupied_entry_cycles, a.ace_bit_cycles)
-             for n, a in result.accumulators.items()},
-        )
-
-    deterministic = all(
-        signature(via_batch) == signature(via_source)
-        for batch_run, source_run in zip(batch_results, source_results)
-        for via_batch, via_source in zip(batch_run, source_run)
-    )
-    return {
-        "batch": batch,
-        "instructions": instructions,
-        "kernel": kernel_active,
-        "batch_seconds": batch_seconds,
-        "source_seconds": source_seconds,
-        "batch_ms_per_genome": 1000.0 * batch_seconds / batch,
-        "source_ms_per_genome": 1000.0 * source_seconds / batch,
-        "speedup": source_seconds / batch_seconds if batch_seconds > 0 else 0.0,
-        "deterministic": deterministic,
-    }
-
-
-def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
-    """The numpy vector plane vs the batch kernel plane (PR 9).
-
-    Same protocol as :func:`bench_batch_speedup`, one rung up the backend
-    ladder: one GA-generation-shaped batch of fresh genomes through the
-    ``vector`` backend's ``run_many`` (operand columns precomputed with
-    numpy, flat-array hierarchy replica) and through the ``batch``
-    backend's ``run_many``.  An untimed warm-up batch compiles both config
-    kernels and builds/freezes the shared warm state, fresh batches pay
-    their own operand plans and column builds inside the timed region, and
-    both sides must be bit-identical (``deterministic``).  Without numpy
-    the probe records ``{"available": False, "numpy": "absent"}`` instead
-    of failing, so trajectories stay appendable on minimal installs.
-    """
-    from repro.uarch import kernel as kernel_cache
-    from repro.uarch import kernel_batch, kernel_vector
-    from repro.uarch.kernel_backends import BATCH, VECTOR
-
-    if not kernel_vector.numpy_available():
-        return {"available": False, "numpy": "absent"}
+    from repro.uarch.kernel_backends import INTERPRETED, VECTOR
+    from repro.workloads.suite import all_profiles
+    from repro.workloads.synthetic import build_workload
 
     config = baseline_config()
     generator = StressmarkGenerator(config=config, max_instructions=instructions)
@@ -436,51 +359,52 @@ def bench_vector_speedup(batch: int = 8, instructions: int = 6_000) -> dict:
     kernel_cache.clear_kernels()
     core = OutOfOrderCore(config, seed=generator.simulation_seed)
     kernel_active = kernel_cache.kernel_enabled()
-    # Untimed warm-up: compiles the batch and vector kernels, builds the
-    # shared warm state and its frozen flat-array image.
-    BATCH.run_many(core, programs(0), instructions)
-    VECTOR.run_many(core, programs(0), instructions)
+    VECTOR.run_many(core, programs(0), instructions)  # untimed warm-up batch
+
+    def timed(run) -> tuple[float, list]:
+        start = time.perf_counter()
+        results = run()
+        return time.perf_counter() - start, results
 
     fresh_batches = [programs(batch), programs(2 * batch)]
+    vector_runs = [timed(lambda: VECTOR.run_many(core, fresh, instructions)) for fresh in fresh_batches]
+    interpreted_runs = [
+        timed(lambda: INTERPRETED.run_many(core, fresh, instructions)) for fresh in fresh_batches
+    ]
+    ga_vector_seconds = min(seconds for seconds, _ in vector_runs)
+    ga_interpreted_seconds = min(seconds for seconds, _ in interpreted_runs)
 
-    vector_results = []
-    vector_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        vector_results.append(VECTOR.run_many(core, fresh, instructions))
-        vector_timings.append(time.perf_counter() - start)
-    vector_seconds = min(vector_timings)
-
-    batch_results = []
-    batch_timings = []
-    for fresh in fresh_batches:
-        start = time.perf_counter()
-        batch_results.append(BATCH.run_many(core, fresh, instructions))
-        batch_timings.append(time.perf_counter() - start)
-    batch_seconds = min(batch_timings)
-
-    def signature(result) -> tuple:
-        return (
-            result.stats,
-            {n: (a.occupied_entry_cycles, a.ace_bit_cycles)
-             for n, a in result.accumulators.items()},
-        )
-
-    deterministic = all(
-        signature(via_vector) == signature(via_batch)
-        for vector_run, batch_run in zip(vector_results, batch_results)
-        for via_vector, via_batch in zip(vector_run, batch_run)
+    suite = [build_workload(profile, config, seed=11) for profile in all_profiles()]
+    kernel_cache.clear_kernels()
+    kernel_cache.vector_kernel_for(config)
+    suite_vector_seconds, suite_vector = timed(
+        lambda: [VECTOR.run_one(core, program, suite_instructions) for program in suite]
     )
+    suite_interpreted_seconds, suite_interpreted = timed(
+        lambda: [INTERPRETED.run_one(core, program, suite_instructions) for program in suite]
+    )
+
+    pairs = [
+        (via_vector, via_interpreted)
+        for (_, vector_run), (_, interpreted_run) in zip(vector_runs, interpreted_runs)
+        for via_vector, via_interpreted in zip(vector_run, interpreted_run)
+    ]
+    pairs.extend(zip(suite_vector, suite_interpreted))
+    deterministic = all(_signature(a) == _signature(b) for a, b in pairs)
     return {
-        "available": True,
         "batch": batch,
         "instructions": instructions,
+        "suite_programs": len(suite),
+        "suite_instructions": suite_instructions,
         "kernel": kernel_active,
-        "vector_seconds": vector_seconds,
-        "batch_seconds": batch_seconds,
-        "vector_ms_per_genome": 1000.0 * vector_seconds / batch,
-        "batch_ms_per_genome": 1000.0 * batch_seconds / batch,
-        "speedup": batch_seconds / vector_seconds if vector_seconds > 0 else 0.0,
+        "ga_vector_seconds": ga_vector_seconds,
+        "ga_interpreted_seconds": ga_interpreted_seconds,
+        "ga_speedup": ga_interpreted_seconds / ga_vector_seconds if ga_vector_seconds > 0 else 0.0,
+        "suite_vector_seconds": suite_vector_seconds,
+        "suite_interpreted_seconds": suite_interpreted_seconds,
+        "suite_speedup": (
+            suite_interpreted_seconds / suite_vector_seconds if suite_vector_seconds > 0 else 0.0
+        ),
         "deterministic": deterministic,
     }
 
@@ -549,7 +473,6 @@ def run_benchmarks(
     # The speedup probe always runs multi-worker (default 4) so the recorded
     # number is meaningful even when the GA itself was benchmarked serially.
     speedup_metrics = bench_parallel_speedup(jobs=jobs if jobs > 1 else 4)
-    batch_metrics = bench_batch_speedup()
     vector_metrics = bench_vector_speedup()
     append_entry(pipeline_path, {**pipeline_metrics, "ledger": ledger_metrics})
     append_entry(
@@ -557,7 +480,6 @@ def run_benchmarks(
         {
             "ga": ga_metrics,
             "parallel": speedup_metrics,
-            "kernel_batch": batch_metrics,
             "kernel_vector": vector_metrics,
         },
     )
@@ -566,6 +488,5 @@ def run_benchmarks(
         "ledger": ledger_metrics,
         "ga": ga_metrics,
         "parallel": speedup_metrics,
-        "kernel_batch": batch_metrics,
         "kernel_vector": vector_metrics,
     }

@@ -132,25 +132,6 @@ class MemoryHierarchy:
 
         return latency, dl1_hit, l2_hit, tlb_hit
 
-    def access_many(
-        self, addresses, is_write: bool, cycles, ace: bool = True
-    ) -> list[tuple[int, bool, bool, bool]]:
-        """Bulk :meth:`access_parts` over an address column.
-
-        ``addresses`` is any integer sequence (list or numpy array) and
-        ``cycles`` a matching sequence or one scalar cycle.  Replacement and
-        lifetime state mutate between elements, so the in-order loop is the
-        semantics — bulk only removes per-call overhead for array producers,
-        it never reorders accesses.  Integer-exact.
-        """
-        access = self.access_parts
-        if isinstance(cycles, int):
-            return [access(int(address), is_write, cycles, ace) for address in addresses]
-        return [
-            access(int(address), is_write, int(cycle), ace)
-            for address, cycle in zip(addresses, cycles)
-        ]
-
     def warm_region(
         self,
         base: int,
@@ -197,43 +178,6 @@ class MemoryHierarchy:
             len(range(size_bytes - dl1_span, size_bytes, line_bytes)),
             cycle=0, dirty=dirty, ace=ace, word_fraction=word_fraction,
         )
-
-    def clone(self, ledger: Optional["VulnerabilityLedger"] = None) -> "MemoryHierarchy":
-        """Independent copy of the whole hierarchy's warm state.
-
-        ``ledger`` should be a clone of the ledger this hierarchy was built
-        against: each component is rebound to the cloned ledger's tracker of
-        the same structure (``word_tracker``/``residency_tracker`` return the
-        existing clone).  The batch evaluation plane uses this to materialize
-        one functionally-warmed hierarchy per genome from a shared master.
-        """
-        dup = MemoryHierarchy.__new__(MemoryHierarchy)
-        dup.memory_latency = self.memory_latency
-        dup.tlb_miss_penalty = self.tlb_miss_penalty
-        dup.l2_tlb_hit_latency = self.l2_tlb_hit_latency
-        dup._dl1_hit_latency = self._dl1_hit_latency
-        dup._l2_hit_latency = self._l2_hit_latency
-        if ledger is None:
-            dup.dl1 = self.dl1.clone()
-            dup.l2 = self.l2.clone()
-            dup.dtlb = self.dtlb.clone()
-            dup.l2_tlb = self.l2_tlb.clone() if self.l2_tlb is not None else None
-        else:
-            dup.dl1 = self.dl1.clone(
-                tracker=ledger.word_tracker("dl1", self.dl1.config.word_bytes * 8)
-            )
-            dup.l2 = self.l2.clone(
-                tracker=ledger.word_tracker("l2", self.l2.config.word_bytes * 8)
-            )
-            dup.dtlb = self.dtlb.clone(
-                tracker=ledger.residency_tracker("dtlb", self.dtlb.config.entry_bits)
-            )
-            dup.l2_tlb = None
-            if self.l2_tlb is not None:
-                dup.l2_tlb = self.l2_tlb.clone(
-                    tracker=ledger.residency_tracker("l2_tlb", self.l2_tlb.config.entry_bits)
-                )
-        return dup
 
     def finalize(self, cycle: int) -> None:
         """Close all lifetime intervals at the end of simulation."""

@@ -221,7 +221,7 @@ class EvalBatch:
     """One worker-sized slice of a generation, evaluated as a unit.
 
     Batching lets evaluators that implement ``evaluate_batch`` share
-    per-population state (compiled batch kernels, warm cache/TLB state,
+    per-population state (the compiled kernel, warm cache/TLB state,
     operand plans) across the genomes of the slice; it is purely an
     execution grouping — outcomes stay per-item and ordered.
     """

@@ -122,13 +122,13 @@ class StressmarkEvaluator:
         return score
 
     def evaluate_batch(self, individuals: list[Individual]) -> list[tuple[float, dict]]:
-        """Population-at-once evaluation through the batch plane.
+        """Population-at-once evaluation through the kernel backend.
 
         Bit-identical to calling the evaluator per individual — one
         ``OutOfOrderCore`` per simulation with the same seed, the same
         codegen, the same fitness — but the resolved backend's ``run_many``
-        shares the compiled batch kernel, warm cache/TLB state and operand
-        plans across the whole slice.
+        shares the compiled kernel, warm cache/TLB state and operand plans
+        across the whole slice.
         """
         from repro.uarch.kernel_backends import resolve
 

@@ -1,35 +1,26 @@
-"""Pluggable kernel backends: how a simulation request becomes machine code.
+"""Kernel backends: how a simulation request executes.
 
-PR 2 made experiment components (configs, fault rates, suites, objectives,
-scales, evaluation backends) named registry entries; PR 4 did the same for
-vulnerable structures.  This module closes the loop for the innermost layer:
-*how* :meth:`repro.uarch.pipeline.OutOfOrderCore.run` executes is now a
-registered component too, selectable per run via spec (``kernel_backend``),
-CLI (``--kernel-backend``) or environment (``REPRO_KERNEL_BACKEND``):
+*How* :meth:`repro.uarch.pipeline.OutOfOrderCore.run` executes is a
+registered component, selectable per run via spec (``kernel_backend``),
+CLI (``--kernel-backend``) or environment (``REPRO_KERNEL_BACKEND``).
+There is one compiled path and one oracle:
 
-* ``batch`` (default) — the population-at-once plane: one config-specialized
-  compiled kernel, shared functional warm-up, operand plans memoized in the
-  ArtifactStore (:mod:`repro.uarch.kernel_batch`).  Single-program runs
-  (``run_one``) execute through the per-program ``source`` path, so
-  non-batched callers are unchanged.
-* ``source`` — the PR 5 per-(program, config) specialized source-codegen
-  kernels, with interpreter fallback for unsupported shapes.
-* ``interpreted`` — the reference loop, the semantics oracle every other
-  backend is differentially tested against.
-* ``vector`` — the batch plane with operand columns precomputed by numpy
-  array arithmetic and replayed through an inlined flat-array hierarchy
-  replica (:mod:`repro.uarch.kernel_vector`).  Requires the optional numpy
-  dependency (``pip install repro-avf-stressmark[vector]``); programs the
-  column lowering cannot express fall back to ``batch`` per program.
+* ``vector`` (default) — the config-specialized compiled kernel over
+  precomputed operand columns (:mod:`repro.uarch.kernel_vector`).  Every
+  simulation goes through ``run_many``; a single run is a batch of one.
+  Programs the column lowering cannot express run interpreted, per
+  program.
+* ``interpreted`` — the reference loop, the semantics oracle the compiled
+  path is differentially tested against.
 
-All backends are bit-identical by construction; selection is purely about
-speed, which is why evaluation/fitness-cache digests deliberately do *not*
-include the backend name — results cached under one backend are valid under
-every other.
+``batch`` and ``source`` — the names of two retired compiled paths — stay
+accepted as aliases of ``vector``, so existing specs, scripts and
+environments keep working.  Both backends are bit-identical by
+construction; selection is purely about speed, which is why evaluation and
+fitness-cache digests deliberately do *not* include the backend name —
+results cached under one backend are valid under the other.
 
-``REPRO_KERNEL=0`` (the PR 5 escape hatch) still forces the interpreter
-regardless of any selection, so existing differential harnesses and the
-kernel-smoke gate keep working unchanged.
+``REPRO_KERNEL=0`` forces the interpreter regardless of any selection.
 """
 
 from __future__ import annotations
@@ -46,18 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Environment selector; the ``REPRO_KERNEL=0`` kill switch takes precedence.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-DEFAULT_BACKEND = "batch"
+DEFAULT_BACKEND = "vector"
+
+#: Retired backend names and the backend that now serves them.
+ALIASES = {"batch": "vector", "source": "vector"}
 
 KERNEL_BACKENDS = Registry("kernel backend")
 
 
 class KernelBackend:
-    """One way of executing a simulation (and batches of them).
+    """One way of executing a batch of simulations.
 
-    ``run_one`` simulates a single program; ``run_many`` a batch sharing
-    whatever the backend can share (compiled code, warm state, operand
-    plans).  Every backend must be bit-identical to the interpreted
-    reference — the differential suite and the batch-smoke gate enforce it.
+    ``run_many`` simulates a batch sharing whatever the backend can share
+    (compiled code, warm state, operand plans); ``run_one`` is a batch of
+    one.  Every backend must be bit-identical to the interpreted
+    reference — the differential suite and the kernel-smoke gate enforce it.
     """
 
     name = "base"
@@ -65,128 +59,49 @@ class KernelBackend:
     def run_one(
         self, core: "OutOfOrderCore", program: "Program", max_instructions: int
     ) -> "SimulationResult":
-        raise NotImplementedError
+        return self.run_many(core, [program], max_instructions)[0]
 
     def run_many(
         self, core: "OutOfOrderCore", programs: list["Program"], max_instructions: int
     ) -> list["SimulationResult"]:
-        return [self.run_one(core, program, max_instructions) for program in programs]
+        raise NotImplementedError
 
 
 class InterpretedBackend(KernelBackend):
-    """The reference loop — the oracle the compiled backends diff against."""
+    """The reference loop — the oracle the compiled path diffs against."""
 
     name = "interpreted"
 
-    def run_one(self, core, program, max_instructions):
-        return core.run_interpreted(program, max_instructions, True)
-
-
-class SourceKernelBackend(KernelBackend):
-    """Per-(program, config) specialized source-codegen kernels (PR 5)."""
-
-    name = "source"
-
-    def run_one(self, core, program, max_instructions):
-        from repro.uarch import kernel as _kernel
-
-        if _kernel.supports(program, True):
-            kernel_run = _kernel.kernel_for(core.config, program)
-            if kernel_run is not None:
-                return kernel_run(core, program, max_instructions)
-        return core.run_interpreted(program, max_instructions, True)
-
-
-class BatchKernelBackend(SourceKernelBackend):
-    """Config-specialized batch kernels with shared warm state.
-
-    ``run_one`` inherits the ``source`` path — for isolated simulations the
-    per-program kernel is already optimal and keeps single-run latency
-    unchanged; the batch machinery engages through ``run_many``.
-    """
-
-    name = "batch"
-
     def run_many(self, core, programs, max_instructions):
-        from repro.uarch import kernel_batch
-
-        results = kernel_batch.run_many(core, programs, max_instructions)
-        if results is None:
-            # Batch kernel unavailable (codegen failure): per-genome path.
-            return [self.run_one(core, program, max_instructions) for program in programs]
-        return results
+        return [core.run_interpreted(program, max_instructions, True) for program in programs]
 
 
-class VectorKernelBackend(BatchKernelBackend):
-    """Batch plane with numpy-precomputed operand columns (PR 9).
-
-    ``run_many`` lowers every vectorizable genome through the config's
-    vector kernel; genomes the column lowering cannot express (setup
-    sections, oversize bodies, pattern overflow) fall back to the batch
-    kernel per program.  ``run_one`` inherits the ``source`` path, exactly
-    like ``batch``.
-    """
+class VectorKernelBackend(KernelBackend):
+    """The compiled column plane (see :mod:`repro.uarch.kernel_vector`)."""
 
     name = "vector"
 
     def run_many(self, core, programs, max_instructions):
         from repro.uarch import kernel_vector
 
-        results = kernel_vector.run_many(core, programs, max_instructions)
-        if results is None:
-            # Vector plane unavailable (no numpy / codegen failure): batch.
-            return super().run_many(core, programs, max_instructions)
-        return results
+        return kernel_vector.run_many(core, programs, max_instructions)
 
 
 INTERPRETED = InterpretedBackend()
-SOURCE = SourceKernelBackend()
-BATCH = BatchKernelBackend()
 VECTOR = VectorKernelBackend()
 
-
-def unavailable_reason(name: str) -> Optional[str]:
-    """Why a registered backend cannot run here, or ``None`` if it can.
-
-    ``vector`` is always *registered* so specs naming it validate uniformly,
-    but it needs numpy at run time; the CLI listing uses this to annotate
-    the entry instead of hiding it.
-    """
-    if name == "vector":
-        from repro.uarch import kernel_vector
-
-        if not kernel_vector.numpy_available():
-            return (
-                "requires numpy — install the optional dependency with "
-                "'pip install repro-avf-stressmark[vector]'"
-            )
-    return None
-
-
-def _require_vector_backend() -> KernelBackend:
-    reason = unavailable_reason("vector")
-    if reason is not None:
-        from repro.registry import RegistryError
-
-        raise RegistryError(
-            f"kernel backend 'vector' is unavailable: {reason}",
-            suggestion="use the 'batch' backend, or install the [vector] extra",
-        )
-    return VECTOR
-
-
-KERNEL_BACKENDS.register("batch", lambda: BATCH)
-KERNEL_BACKENDS.register("source", lambda: SOURCE)
+KERNEL_BACKENDS.register("vector", lambda: VECTOR)
 KERNEL_BACKENDS.register("interpreted", lambda: INTERPRETED)
-KERNEL_BACKENDS.register("vector", _require_vector_backend)
+for _alias in ALIASES:
+    KERNEL_BACKENDS.register(_alias, lambda: VECTOR)
 
 
 def resolve(name: Optional[str] = None) -> KernelBackend:
     """The kernel backend a run should execute through.
 
-    Precedence: the ``REPRO_KERNEL=0`` kill switch (forces the interpreter,
-    preserving the PR 5 contract), then an explicit ``name`` (spec/CLI pin),
-    then ``REPRO_KERNEL_BACKEND``, then the default (``batch``).
+    Precedence: the ``REPRO_KERNEL=0`` kill switch (forces the
+    interpreter), then an explicit ``name`` (spec/CLI pin), then
+    ``REPRO_KERNEL_BACKEND``, then the default (``vector``).
     """
     from repro.uarch import kernel as _kernel
 

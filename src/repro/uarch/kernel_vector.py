@@ -1,10 +1,25 @@
-"""The ``vector`` kernel backend: population evaluation over operand columns.
+"""The compiled simulator path: population evaluation over operand columns.
 
-The batch plane (PR 8, :mod:`repro.uarch.kernel_batch`) made a whole GA
-population share one config-specialized kernel, one functional warm-up and
-one operand plan.  This module removes the remaining per-op Python dispatch
-from that kernel's hot loop by *lowering* each genome's dynamic instruction
-stream to precomputed columns before the timing loop runs:
+Every simulation that does not explicitly ask for the interpreted reference
+runs through :func:`run_many` — a GA generation, a figure's workload proxy,
+a single ``OutOfOrderCore.run``.  Per machine configuration there is:
+
+* **one compiled kernel** — :func:`repro.uarch.kernelgen.
+  generate_vector_kernel_source` folds the machine constants in once; the
+  per-program operand tables stay runtime inputs, so one compile covers a
+  whole search (see :func:`repro.uarch.kernel.vector_kernel_for`);
+* **one functional warm-up per declared footprint** — the interpreter's
+  ``warm_region`` sequence is replayed once, directly on flat integer
+  columns (:class:`VectorWarmState`), which are rematerialized per program
+  by list copies.  Warm-up is deterministic, draws no RNG and happens
+  entirely at cycle 0, so the copy is indistinguishable from a freshly
+  warmed hierarchy;
+* **one operand plan per (config, batch)** — the interpreter's 19-field
+  per-op info tuples, memoized by (config digest, sorted program digests)
+  in process and in the attached ArtifactStore.
+
+Before the timing loop runs, each program's dynamic instruction stream is
+*lowered* to precomputed columns:
 
 * **front-end column** — one stall penalty (0 or the miss penalty) per
   dynamic op, drawn from the frontend RNG stream in reference order;
@@ -13,78 +28,60 @@ stream to precomputed columns before the timing loop runs:
   trace at once (same RNG draws, same counter updates, no object dispatch);
 * **memory columns** — per memory slot, the fully resolved address *parts*
   ``(address, dtlb_page, dl1_set, dl1_tag, dl1_word, dl1_line)`` for every
-  iteration.  Strided / line-cover / pointer-chase / fixed patterns are
-  closed-form and vectorize to whole numpy int64 columns; random patterns
-  replay ``pattern.resolve`` in exact reference draw order (the memory RNG
-  stream is separate from the branch/front-end streams, so pre-resolving it
+  iteration, resolved in exact reference draw order (the memory RNG stream
+  is separate from the branch/front-end streams, so pre-resolving it
   wholesale cannot perturb any other stream).
 
-The timing loop itself (emitted by
-:func:`repro.uarch.kernelgen.generate_vector_kernel_source`) then runs
-against a :class:`VectorHierarchy` — the memory hierarchy's replacement,
-lifetime and residency state flattened to per-slot integer columns with one
-inlined ``access`` method — frozen once per (config, warm footprint) from
-the batch plane's shared warm state and rematerialized per genome by cheap
-list copies instead of deep object clones.
+The timing loop then runs against a :class:`VectorHierarchy` — the memory
+hierarchy's replacement, lifetime and residency state flattened to
+per-slot integer columns with one inlined ``access`` method.
 
 Everything on the AVF path stays integer-exact: word lifetime state packs
 ``cycle * 8 + event_code * 2 + write_ace`` into one int, residency credits
 are integer sums, and end-of-run credit for still-live ACE writes is the
 closed form ``count * final_cycle - sum(start_cycles)`` maintained
 incrementally — so results are bit-identical to the interpreted reference
-(enforced by the four-way differential matrix in
-``tests/test_kernel_differential.py`` and the batch-smoke byte-compare).
+(enforced by ``tests/test_kernel_differential.py`` and the kernel-smoke
+byte-compare).  All arithmetic is on Python ints, which cannot overflow.
 
-Programs the lowering cannot express (explicit setup sections, oversize
-bodies, address columns that overflow the int64 window) fall back to the
-``batch`` plane per item — the same policy the source kernel uses.  numpy
-is an optional dependency (the ``vector`` extra); without it
-:func:`run_many` reports unavailable and the backend chain falls through to
-``batch`` untouched.
+Programs the lowering cannot express run through
+:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interpreted` instead, and
+each such fallback bumps ``STATS.fallbacks``: empty bodies, explicit setup
+sections, oversize bodies or dynamic-op counts, ops that resolve their
+address twice, negative addresses, and a kernel that fails to build.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-try:  # optional dependency — the `vector` extra (pip install repro-avf-stressmark[vector])
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the numpy-less tests
-    _np = None
-
-from repro.isa.memoryref import (
-    FixedPattern,
-    LineCoverPattern,
-    PointerChasePattern,
-    StridedPattern,
-)
+from repro.parallel.cache import evaluation_context_digest
 from repro.uarch import kernel as _kernel
-from repro.uarch import kernel_batch
+from repro.uarch.kernelgen import KERNEL_SCHEMA
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.isa.program import Program
     from repro.uarch.config import MachineConfig
+    from repro.uarch.pipeline import OutOfOrderCore, SimulationResult
 
 #: Dynamic-op ceiling for column materialization (memory bound, not a
-#: correctness bound — larger runs fall back to the batch plane).
+#: correctness bound — larger runs take the interpreted path).
 VECTOR_MAX_OPS = 500_000
 
-#: Column values must stay well inside int64 under the decomposition
-#: arithmetic; anything near the edge takes the (unbounded-int) fallback.
-_INT64_GUARD = 1 << 60
+#: Distinct warm states kept per process.  A GA search touches at
+#: most two (the knob space only toggles the L2-miss region's presence).
+WARM_CACHE_LIMIT = 8
 
-#: Frozen warm-state LRU (see :data:`kernel_batch.WARM_CACHE_LIMIT`).
-VECTOR_WARM_CACHE_LIMIT = 8
-
-_MISSING = object()
+#: Operand plans kept in the in-process memo (oldest evicted first).
+PLAN_CACHE_LIMIT = 32
 
 
 class Unvectorizable(Exception):
-    """This program cannot be lowered to columns; use the batch plane."""
+    """This program cannot be lowered to columns; run it interpreted."""
 
 
 class VectorStats:
-    """In-process counters (observability for tests and the smoke gate)."""
+    """In-process counters (observability for tests and the smoke gates)."""
 
     def __init__(self) -> None:
         self.reset()
@@ -92,26 +89,29 @@ class VectorStats:
     def reset(self) -> None:
         self.vector_runs = 0
         self.fallbacks = 0
-        self.warm_freezes = 0
+        self.warm_builds = 0
+        self.warm_hits = 0
+        self.plans_built = 0
+        self.plan_memo_hits = 0
+        self.plan_store_hits = 0
 
 
 STATS = VectorStats()
 
-#: (config digest, warm signature) -> frozen VectorWarmState or None.
-_frozen_warm: dict[tuple, Optional["VectorWarmState"]] = {}
+#: (config digest, warm signature) -> VectorWarmState.
+_warm_states: dict[tuple, "VectorWarmState"] = {}
+
+#: Plan key -> {program digest: per-op info rows}.
+_plans: dict[str, dict[str, list]] = {}
 
 #: (global_entries, local_entries, choice_entries) -> predictor template.
 _predictor_templates: dict[tuple, tuple] = {}
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return _np is not None
-
-
 def clear_vector_caches() -> None:
     """Drop the vector plane's in-process caches (tests, ``clear_kernels``)."""
-    _frozen_warm.clear()
+    _warm_states.clear()
+    _plans.clear()
     _predictor_templates.clear()
     STATS.reset()
 
@@ -119,11 +119,15 @@ def clear_vector_caches() -> None:
 def supports_vector(program: "Program") -> bool:
     """Whether the column lowering can express this program at all.
 
-    Same gate as the batch plane's warm sharing plus the body-size bound:
-    explicit setup sections replay stateful warm-up the columns cannot
-    model, oversize bodies are not worth specializing.
+    Explicit setup sections replay stateful warm-up the columns cannot
+    model; empty bodies have nothing to lower; oversize bodies are not
+    worth specializing.
     """
-    return not program.setup and len(program.body) <= _kernel.MAX_KERNEL_BODY
+    return (
+        bool(program.body)
+        and not program.setup
+        and len(program.body) <= _kernel.MAX_KERNEL_BODY
+    )
 
 
 # --------------------------------------------------------------- predictor
@@ -230,48 +234,6 @@ def _mispredict_column(
 # ------------------------------------------------------------ memory columns
 
 
-def _closed_form_addresses(pattern, count: int):
-    """Whole-column addresses for a closed-form pattern, or None.
-
-    Eligibility is by *exact* type (subclasses may override ``resolve``);
-    any column whose intermediate arithmetic could leave the int64 guard
-    window returns None and takes the ordered python-int path instead.
-    """
-    kind = type(pattern)
-    iterations = None
-    if kind is FixedPattern:
-        if abs(pattern.address) < _INT64_GUARD:
-            return _np.full(count, pattern.address, dtype=_np.int64)
-        return None
-    if kind is StridedPattern or kind is PointerChasePattern:
-        if (
-            count * pattern.stride < _INT64_GUARD
-            and abs(pattern.base) + pattern.region < _INT64_GUARD
-        ):
-            iterations = _np.arange(count, dtype=_np.int64)
-            return pattern.base + (iterations * pattern.stride) % pattern.region
-        return None
-    if kind is LineCoverPattern:
-        reach = count + abs(pattern.iteration_offset) + 1
-        scale = max(pattern.line_bytes, pattern.slots, pattern.word_bytes, 1)
-        if (
-            reach * scale < _INT64_GUARD
-            and abs(pattern.base) + pattern.region < _INT64_GUARD
-        ):
-            effective = _np.arange(count, dtype=_np.int64) + pattern.iteration_offset
-            if pattern.iteration_offset:
-                _np.maximum(effective, 0, out=effective)
-            words_per_line = max(1, pattern.line_bytes // pattern.word_bytes)
-            word_index = (effective * pattern.slots + pattern.slot) % words_per_line
-            return (
-                pattern.base
-                + (effective * pattern.line_bytes) % pattern.region
-                + word_index * pattern.word_bytes
-            )
-        return None
-    return None
-
-
 def _memory_columns(
     config: "MachineConfig",
     body_infos: list,
@@ -282,10 +244,13 @@ def _memory_columns(
     """Resolved address-part columns per body slot (None for non-memory ops).
 
     Each entry is a list of ``(address, dtlb_page, dl1_set, dl1_tag,
-    dl1_word, dl1_line)`` tuples indexed by iteration.  Slots whose pattern
-    draws randomness (or whose closed form could overflow) are resolved in
-    the exact reference order — iteration-major, body order within an
-    iteration — so the memory RNG stream is untouched.
+    dl1_word, dl1_line)`` tuples indexed by iteration.  Every slot resolves
+    through its own ``pattern.resolve`` in the exact reference order —
+    iteration-major, body order within an iteration — so random patterns
+    draw the memory RNG stream exactly as the reference does (closed-form
+    patterns draw nothing).  Addresses are Python ints, so the
+    decomposition is exact for any magnitude; each distinct address is
+    decomposed once.
     """
     dl1 = config.dl1
     line_bytes = dl1.line_bytes
@@ -293,9 +258,7 @@ def _memory_columns(
     word_bytes = dl1.word_bytes
     page_bytes = config.dtlb.page_bytes
 
-    columns: list = [None] * len(body_infos)
-    address_arrays: dict[int, object] = {}
-    ordered: list[tuple] = []
+    slots: list[tuple] = []
     for index, info in enumerate(body_infos):
         is_nop, is_store = info[2], info[4]
         fixed_latency, pattern = info[14], info[15]
@@ -303,53 +266,35 @@ def _memory_columns(
         commit_resolve = is_store and pattern is not None
         if issue_resolve and commit_resolve:
             raise Unvectorizable("op resolves its address twice per instance")
-        if not (issue_resolve or commit_resolve):
-            continue
-        count = full_iters + (1 if index < tail_ops else 0)
-        addresses = _closed_form_addresses(pattern, count)
-        if addresses is None:
-            ordered.append((index, pattern))
-        else:
-            address_arrays[index] = addresses
+        if issue_resolve or commit_resolve:
+            slots.append((index, pattern.resolve, []))
 
-    if ordered:
-        rows: dict[int, list] = {index: [] for index, _ in ordered}
-        resolvers = [(index, pattern, rows[index].append) for index, pattern in ordered]
-        for iteration in range(full_iters):
-            for _, pattern, append in resolvers:
-                append(pattern.resolve(iteration, memory_rng))
-        if tail_ops:
-            for index, pattern, append in resolvers:
-                if index < tail_ops:
-                    append(pattern.resolve(full_iters, memory_rng))
-        for index, values in rows.items():
-            if values and not (0 <= min(values) and max(values) < _INT64_GUARD):
-                if min(values) < 0:
-                    # The reference raises on the first negative address; the
-                    # batch fallback reproduces that exact error.
+    for iteration in range(full_iters):
+        for _, resolve, addresses in slots:
+            addresses.append(resolve(iteration, memory_rng))
+    for index, resolve, addresses in slots:
+        if index < tail_ops:
+            addresses.append(resolve(full_iters, memory_rng))
+
+    columns: list = [None] * len(body_infos)
+    parts: dict[int, tuple] = {}
+    for index, _, addresses in slots:
+        for address in addresses:
+            if address not in parts:
+                if address < 0:
+                    # The reference raises on the first negative address;
+                    # the interpreted fallback reproduces that exact error.
                     raise Unvectorizable("negative address stream")
-                raise Unvectorizable("address stream exceeds the int64 window")
-            address_arrays[index] = _np.asarray(values, dtype=_np.int64)
-
-    for index, addresses in address_arrays.items():
-        if addresses.size and int(addresses.min()) < 0:
-            raise Unvectorizable("negative address stream")
-        pages = addresses // page_bytes
-        line_addresses = addresses // line_bytes
-        set_indices = line_addresses % num_sets
-        tags = line_addresses // num_sets
-        word_indices = (addresses % line_bytes) // word_bytes
-        line_numbers = tags * num_sets + set_indices
-        columns[index] = list(
-            zip(
-                addresses.tolist(),
-                pages.tolist(),
-                set_indices.tolist(),
-                tags.tolist(),
-                word_indices.tolist(),
-                line_numbers.tolist(),
-            )
-        )
+                line = address // line_bytes
+                parts[address] = (
+                    address,
+                    address // page_bytes,
+                    line % num_sets,
+                    line // num_sets,
+                    (address % line_bytes) // word_bytes,
+                    line,
+                )
+        columns[index] = [parts[address] for address in addresses]
     return columns
 
 
@@ -369,7 +314,7 @@ def build_columns(
 
     Raises :class:`Unvectorizable` before any caller-visible state is
     touched — the generated kernel calls this before materializing warm
-    state, so a failed lowering falls back to the batch plane cleanly.
+    state, so a failed lowering falls back to the interpreter cleanly.
     All three RNG streams are independent spawns, so draining each in its
     own pre-pass preserves every stream's reference draw sequence.
     """
@@ -393,17 +338,16 @@ def build_columns(
 
 # --------------------------------------------------------- flat hierarchy
 
-#: Word lifetime events packed into the low three state bits
+#: Word lifetime events are packed into the low three state bits
 #: (``cycle * 8 + code``): FILL=0, READ=2, WRITE=4, +1 when the recorded
 #: write was ACE.  ``state & 7 == 5`` is therefore "ACE write still live" —
 #: the only terminal state that earns credit on eviction or finalize.
-_EVENT_CODES = {"fill": 0, "read": 2, "write": 4}
 
 
 class VectorHierarchy:
     """DL1 + L2 + DTLB (+ L2 TLB) flattened to integer columns.
 
-    One object per genome run, rematerialized from a frozen
+    One object per program run, rematerialized from a warmed
     :class:`VectorWarmState` by shallow list copies.  Semantically a
     statement-for-statement replica of :meth:`MemoryHierarchy.access_parts`
     restricted to what the simulation result can observe: latencies, access
@@ -736,95 +680,157 @@ def install_trackers(ledger, hierarchy: VectorHierarchy) -> None:
         )
 
 
-# ------------------------------------------------------------- warm freezing
+# ------------------------------------------------------------- flat warm-up
+#
+# The interpreter warms each run's hierarchy with ``MemoryHierarchy.
+# warm_region`` once per declared footprint region.  The functions below
+# perform the same sequence of installs, LRU victim choices and lifetime
+# events directly on the flat template state a VectorHierarchy copies, so a
+# footprint is warmed once per process without building the object graph.
+# Warm-up happens entirely at cycle 0: every lifetime or residency interval
+# it opens or closes has zero length, so it credits no ACE time and every
+# live ACE write it leaves starts at cycle 0 (``wa_sum`` stays 0).
+
+#: Flat cache template fields (shared by DL1 and L2).
+_SETS, _LINE_NO, _DIRTY, _DIRTY_ACE, _LAST_USE, _WORD_STATE, _FREE = range(7)
+_WA_COUNT = 10
+#: Flat TLB template fields.
+_TLB_MAP, _FIRST, _LAST, _TLB_LAST_USE, _RECURRENT, _TLB_FREE = range(6)
 
 
-def _freeze_cache(cache) -> Optional[tuple]:
-    """Flatten one warm Cache to column template state (None if unprovable).
+def _empty_cache(cache_config) -> list:
+    """Cold flat cache: (sets, line_no, dirty, dirty_ace, last_use,
+    word_state, free, accesses, misses, ace_cycles, wa_count, wa_sum)."""
+    num_lines = cache_config.num_sets * cache_config.associativity
+    return [
+        [{} for _ in range(cache_config.num_sets)],
+        [0] * num_lines,
+        [False] * num_lines,
+        [False] * num_lines,
+        [0] * num_lines,
+        [-1] * (num_lines * cache_config.words_per_line),
+        list(range(num_lines - 1, -1, -1)),
+        0, 0, 0, 0, 0,
+    ]
 
-    The flat replica relies on the invariant "word touched <=> word state
-    live in the tracker"; the freeze *checks* it (count and membership)
-    rather than assuming it, so any warm-up path that breaks it degrades to
-    the batch plane instead of silently diverging.
-    """
-    num_sets = cache._num_sets
-    associativity = cache._associativity
-    words_per_line = cache._words_per_line
-    num_lines = num_sets * associativity
-    sets: list[dict] = []
-    line_no = [0] * num_lines
-    dirty = [False] * num_lines
-    dirty_ace = [False] * num_lines
-    last_use = [0] * num_lines
-    word_state = [-1] * (num_lines * words_per_line)
-    live = cache.lifetime._live
-    wa_count = 0
-    wa_sum = 0
-    slot = 0
-    installed = 0
-    for set_index, cache_set in enumerate(cache._sets):
-        flat_set: dict = {}
-        for tag, line in cache_set.items():
-            line_number = tag * num_sets + set_index
-            flat_set[tag] = slot
+
+def _empty_tlb(tlb_config) -> list:
+    """Cold flat TLB: (map, first_ace, last_ace, last_use, recurrent, free,
+    accesses, misses, ace_cycles)."""
+    capacity = tlb_config.entries
+    return [
+        {},
+        [-1] * capacity,
+        [-1] * capacity,
+        [0] * capacity,
+        [False] * capacity,
+        list(range(capacity - 1, -1, -1)),
+        0, 0, 0,
+    ]
+
+
+def _warm_lines(
+    flat: list, cache_config, first_address: int, count: int,
+    dirty: bool, ace: bool, word_fraction: float,
+) -> None:
+    """:meth:`Cache.warm_lines` at cycle 0 on a flat cache template."""
+    sets, line_no, dirty_bits, dirty_ace = flat[_SETS], flat[_LINE_NO], flat[_DIRTY], flat[_DIRTY_ACE]
+    last_use, word_state, free = flat[_LAST_USE], flat[_WORD_STATE], flat[_FREE]
+    num_sets = cache_config.num_sets
+    associativity = cache_config.associativity
+    words_per_line = cache_config.words_per_line
+    touched = int(round(word_fraction * words_per_line))
+    # The lifetime state warm-up leaves: (WRITE if dirty else FILL, 0, dirty and ace).
+    packed = (5 if ace else 4) if dirty else 0
+    fill = [packed] * touched
+    cleared = [-1] * words_per_line
+    mark_dirty = bool(dirty and touched)
+    first_line = first_address // cache_config.line_bytes
+    for line_number in range(first_line, first_line + count):
+        cache_set = sets[line_number % num_sets]
+        tag = line_number // num_sets
+        slot = cache_set.get(tag)
+        if slot is None:
+            if len(cache_set) >= associativity:
+                victim_tag = min(cache_set, key=lambda entry: last_use[cache_set[entry]])
+                victim = cache_set.pop(victim_tag)
+                base = victim * words_per_line
+                flat[_WA_COUNT] -= word_state[base:base + words_per_line].count(5)
+                word_state[base:base + words_per_line] = cleared
+                free.append(victim)
+            slot = free.pop()
+            cache_set[tag] = slot
             line_no[slot] = line_number
-            dirty[slot] = line.dirty
-            dirty_ace[slot] = line.dirty_ace
-            last_use[slot] = line.last_use
+            dirty_bits[slot] = False
+            dirty_ace[slot] = False
+        if touched:
             base = slot * words_per_line
-            for word in line.words_touched:
-                state = live.get((line_number, word))
-                if state is None:
-                    return None
-                packed = state[1] * 8 + _EVENT_CODES[state[0].value] + (1 if state[2] else 0)
-                word_state[base + word] = packed
-                if packed & 7 == 5:
-                    wa_count += 1
-                    wa_sum += state[1]
-                installed += 1
-            slot += 1
-        sets.append(flat_set)
-    if installed != len(live):
-        return None  # live word state outside any resident line
-    free = list(range(num_lines - 1, slot - 1, -1))
-    stats = cache.stats
-    return (
-        sets, line_no, dirty, dirty_ace, last_use, word_state, free,
-        stats.accesses, stats.misses,
-        cache.lifetime.ace_word_cycles, wa_count, wa_sum,
-    )
+            flat[_WA_COUNT] -= word_state[base:base + touched].count(5)
+            word_state[base:base + touched] = fill
+            if packed == 5:
+                flat[_WA_COUNT] += touched
+        last_use[slot] = 0
+        if mark_dirty:
+            dirty_bits[slot] = True
+            if ace:
+                dirty_ace[slot] = True
 
 
-def _freeze_tlb(tlb) -> Optional[tuple]:
-    """Flatten one warm Tlb to column template state (None if unprovable)."""
-    capacity = tlb._capacity
-    tlb_map: dict = {}
-    first = [-1] * capacity
-    last = [-1] * capacity
-    last_use = [0] * capacity
-    recurrent = [False] * capacity
-    slot = 0
-    for page, entry in tlb._entries.items():
-        if (entry.first_ace_use is None) != (entry.last_ace_use is None):
-            return None  # the flat replica assumes they are set together
+def _warm_page(flat: list, page: int, ace: bool, recurrent: bool) -> None:
+    """:meth:`Tlb.warm_page` at cycle 0 on a flat TLB template."""
+    tlb_map, first, last = flat[_TLB_MAP], flat[_FIRST], flat[_LAST]
+    last_use, recurrent_bits, free = flat[_TLB_LAST_USE], flat[_RECURRENT], flat[_TLB_FREE]
+    slot = tlb_map.get(page)
+    if slot is None:
+        if len(tlb_map) >= len(first):
+            victim_page = min(tlb_map, key=lambda entry: last_use[tlb_map[entry]])
+            free.append(tlb_map.pop(victim_page))
+        slot = free.pop()
         tlb_map[page] = slot
-        if entry.first_ace_use is not None:
-            first[slot] = entry.first_ace_use
-            last[slot] = entry.last_ace_use
-        last_use[slot] = entry.last_use
-        recurrent[slot] = entry.recurrent
-        slot += 1
-    free = list(range(capacity - 1, slot - 1, -1))
-    stats = tlb.stats
-    return (
-        tlb_map, first, last, last_use, recurrent, free,
-        stats.accesses, stats.misses,
-        tlb._residency.ace_entry_cycles,
+        first[slot] = last[slot] = 0 if ace else -1
+        last_use[slot] = 0
+        recurrent_bits[slot] = recurrent
+        return
+    recurrent_bits[slot] = recurrent_bits[slot] or recurrent
+    if ace and first[slot] < 0:
+        first[slot] = last[slot] = 0
+
+
+def _warm_region(
+    config: "MachineConfig", dl1: list, l2: list, dtlb: list, l2_tlb: Optional[list],
+    base: int, size_bytes: int, dirty: bool, ace: bool, word_fraction: float, recurrent: bool,
+) -> None:
+    """:meth:`MemoryHierarchy.warm_region` on flat templates, step for step.
+
+    ``WarmupRegion`` validates size and word fraction at construction, so
+    the footprint arguments are always in range here.
+    """
+    line_bytes = config.dl1.line_bytes
+    page_bytes = config.dtlb.page_bytes
+    dl1_span = min(size_bytes, config.dl1.size_bytes)
+    l2_span = min(size_bytes, config.l2.size_bytes)
+    tlb_span = min(size_bytes, config.dtlb.reach_bytes)
+    if l2_tlb is not None:
+        l2_tlb_span = min(size_bytes, config.l2_tlb.reach_bytes)
+        l2_tlb_page_bytes = config.l2_tlb.page_bytes
+        for offset in range(size_bytes - l2_tlb_span, size_bytes, page_bytes):
+            _warm_page(l2_tlb, (base + offset) // l2_tlb_page_bytes, ace, recurrent)
+    for offset in range(size_bytes - tlb_span, size_bytes, page_bytes):
+        _warm_page(dtlb, (base + offset) // page_bytes, ace, recurrent)
+    _warm_lines(
+        l2, config.l2, base + size_bytes - l2_span,
+        len(range(size_bytes - l2_span, size_bytes, line_bytes)),
+        dirty, ace, word_fraction,
+    )
+    _warm_lines(
+        dl1, config.dl1, base + size_bytes - dl1_span,
+        len(range(size_bytes - dl1_span, size_bytes, line_bytes)),
+        dirty, ace, word_fraction,
     )
 
 
 class VectorWarmState:
-    """Frozen flat warm state, rematerialized per genome by list copies."""
+    """Warmed flat hierarchy state, rematerialized per program by list copies."""
 
     __slots__ = ("constants", "dl1", "l2", "dtlb", "l2_tlb")
 
@@ -836,27 +842,23 @@ class VectorWarmState:
         self.l2_tlb = l2_tlb
 
     @classmethod
-    def freeze(
-        cls, config: "MachineConfig", master: "kernel_batch.WarmState"
-    ) -> Optional["VectorWarmState"]:
-        """Flatten the batch plane's warm master (read-only; None = fall back)."""
-        hierarchy = master._hierarchy
-        dl1 = _freeze_cache(hierarchy.dl1)
-        l2 = _freeze_cache(hierarchy.l2)
-        dtlb = _freeze_tlb(hierarchy.dtlb)
-        if dl1 is None or l2 is None or dtlb is None:
-            return None
-        l2_tlb = None
-        if hierarchy.l2_tlb is not None:
-            l2_tlb = _freeze_tlb(hierarchy.l2_tlb)
-            if l2_tlb is None:
-                return None
+    def warm(cls, config: "MachineConfig", signature: tuple) -> "VectorWarmState":
+        """The flat state after warming every footprint region in order."""
+        dl1 = _empty_cache(config.dl1)
+        l2 = _empty_cache(config.l2)
+        dtlb = _empty_tlb(config.dtlb)
+        l2_tlb = _empty_tlb(config.l2_tlb) if config.l2_tlb is not None else None
+        for base, size_bytes, dirty, ace, word_fraction, recurrent in signature:
+            _warm_region(
+                config, dl1, l2, dtlb, l2_tlb,
+                base, size_bytes, dirty, ace, word_fraction, recurrent,
+            )
         constants = {
-            "memory_latency": hierarchy.memory_latency,
-            "tlb_miss_penalty": hierarchy.tlb_miss_penalty,
-            "l2_tlb_hit_latency": hierarchy.l2_tlb_hit_latency,
-            "dl1_hit_latency": hierarchy._dl1_hit_latency,
-            "l2_hit_latency": hierarchy._l2_hit_latency,
+            "memory_latency": config.memory_latency,
+            "tlb_miss_penalty": config.tlb_miss_penalty,
+            "l2_tlb_hit_latency": config.l2_tlb_hit_latency,
+            "dl1_hit_latency": config.dl1.hit_latency,
+            "l2_hit_latency": config.l2.hit_latency,
             "dl1_line_bytes": config.dl1.line_bytes,
             "dl1_assoc": config.dl1.associativity,
             "dl1_wpl": config.dl1.words_per_line,
@@ -865,7 +867,7 @@ class VectorWarmState:
             "l2_word_bytes": config.l2.word_bytes,
             "l2_assoc": config.l2.associativity,
             "l2_wpl": config.l2.words_per_line,
-            "has_l2_tlb": hierarchy.l2_tlb is not None,
+            "has_l2_tlb": l2_tlb is not None,
             "l2_tlb_page_bytes": (
                 config.l2_tlb.page_bytes if config.l2_tlb is not None else 0
             ),
@@ -876,10 +878,13 @@ class VectorWarmState:
                 config.l2_tlb.entry_bits if config.l2_tlb is not None else 0
             ),
         }
-        return cls(constants, dl1, l2, dtlb, l2_tlb)
+        return cls(
+            constants, tuple(dl1), tuple(l2), tuple(dtlb),
+            tuple(l2_tlb) if l2_tlb is not None else None,
+        )
 
     def materialize(self) -> VectorHierarchy:
-        """A fresh mutable VectorHierarchy seeded from the frozen template."""
+        """A fresh mutable VectorHierarchy seeded from the warmed template."""
         vh = VectorHierarchy.__new__(VectorHierarchy)
         for name, value in self.constants.items():
             setattr(vh, name, value)
@@ -934,78 +939,136 @@ class VectorWarmState:
         return vh
 
 
-def _frozen_warm_for(
-    config: "MachineConfig", program: "Program"
-) -> Optional[VectorWarmState]:
-    """The frozen warm state for this (config, footprint), LRU-memoized.
+def warm_signature(program: "Program") -> tuple:
+    """The warm-up footprint of a program as a hashable cache key."""
+    return tuple(
+        (region.base, region.size_bytes, region.dirty, region.ace,
+         region.word_fraction, region.recurrent)
+        for region in program.warmup_regions
+    )
 
-    Failed freezes are cached too (as None) so an unfreezable footprint is
-    probed once, not per genome.
-    """
-    key = (_kernel.config_digest(config), kernel_batch.warm_signature(program))
-    cached = _frozen_warm.get(key, _MISSING)
-    if cached is not _MISSING:
-        del _frozen_warm[key]
-        _frozen_warm[key] = cached  # refresh LRU recency
-        return cached
-    master = kernel_batch.warm_state_for(config, program)
-    state = VectorWarmState.freeze(config, master)
-    STATS.warm_freezes += 1
-    while len(_frozen_warm) >= VECTOR_WARM_CACHE_LIMIT:
-        del _frozen_warm[next(iter(_frozen_warm))]
-    _frozen_warm[key] = state
+
+def warm_state_for(config: "MachineConfig", program: "Program") -> VectorWarmState:
+    """The warm state for this (config, footprint), LRU-memoized."""
+    key = (_kernel.config_digest(config), warm_signature(program))
+    state = _kernel._lru_get(_warm_states, key)
+    if state is not None:
+        STATS.warm_hits += 1
+        return state
+    state = VectorWarmState.warm(config, key[1])
+    STATS.warm_builds += 1
+    _kernel._lru_put(_warm_states, key, state, WARM_CACHE_LIMIT)
     return state
+
+
+# ------------------------------------------------------------ operand plans
+
+
+def plan_key(cfg_digest: str, prog_digests: list[str]) -> str:
+    """ArtifactStore key of one batch's operand plan.
+
+    Keyed by (config digest, sorted program digests): the same population
+    evaluated again — bench repeats, resumed searches, another worker —
+    resolves to the same plan regardless of batch ordering.  The key text
+    predates this module; it is kept so existing stores keep serving hits.
+    """
+    batch_digest = evaluation_context_digest(
+        "kernel-batch-plan", KERNEL_SCHEMA, sorted(prog_digests)
+    )
+    return f"kernel-batch-plan|v{KERNEL_SCHEMA}|{cfg_digest}|{batch_digest}"
+
+
+def _plan_for(
+    core: "OutOfOrderCore",
+    cfg_digest: str,
+    programs: list["Program"],
+    prog_digests: list[str],
+) -> dict[str, list]:
+    """Per-op info rows for every program of the batch, keyed by digest.
+
+    Plans are stored column-major (one flat list per info field, shared
+    across the ops of a program) and zipped back into the row tuples the
+    hot loop unpacks; rows are memoized in-process and the columns persist
+    in the attached ArtifactStore.
+    """
+    key = plan_key(cfg_digest, prog_digests)
+    rows = _kernel._lru_get(_plans, key)
+    if rows is not None:
+        STATS.plan_memo_hits += 1
+        return rows
+
+    columns: Optional[dict[str, tuple]] = None
+    store = _kernel._active_source_store()
+    if store is not None:
+        try:
+            stored = store.get(key)
+        except Exception:
+            _kernel._discard_failed_store(store)
+            stored = None
+        if isinstance(stored, dict) and set(stored) == set(prog_digests):
+            columns = stored
+            STATS.plan_store_hits += 1
+
+    if columns is None:
+        columns = {}
+        for digest, program in zip(prog_digests, programs):
+            if digest not in columns:
+                infos = [
+                    core._instruction_info(instruction, index, False, program)
+                    for index, instruction in enumerate(program.body)
+                ]
+                columns[digest] = tuple(zip(*infos)) if infos else ()
+        STATS.plans_built += 1
+        store = _kernel._active_source_store()
+        if store is not None:
+            try:
+                store.put(key, columns)
+            except Exception:
+                _kernel._discard_failed_store(store)
+
+    rows = {
+        digest: (list(zip(*cols)) if cols else [])
+        for digest, cols in columns.items()
+    }
+    _kernel._lru_put(_plans, key, rows, PLAN_CACHE_LIMIT)
+    return rows
 
 
 # ------------------------------------------------------------------ running
 
 
-def _run_via_batch(core, config, program, max_instructions: int, rows):
-    """One program through the batch plane (the per-item fallback)."""
-    kernel = _kernel.batch_kernel_for(config)
-    if kernel is not None:
-        warm = None
-        if kernel_batch.supports_warm_sharing(program):
-            warm = kernel_batch.warm_state_for(config, program)
-        return kernel(core, program, max_instructions, rows, warm)
-    from repro.uarch.kernel_backends import BATCH
+def run_many(
+    core: "OutOfOrderCore",
+    programs: list["Program"],
+    max_instructions: int = 50_000,
+) -> list["SimulationResult"]:
+    """Simulate every program through the config's vector kernel.
 
-    return BATCH.run_one(core, program, max_instructions)
-
-
-def run_many(core, programs, max_instructions: int = 50_000):
-    """Evaluate ``programs`` through the vector plane.
-
-    Returns None when the plane is unavailable for this process/config
-    (numpy missing, codegen failure) — the backend then falls through to
-    the batch plane wholesale.  Individual programs the lowering cannot
-    express fall back to the batch plane per item.
+    Returns results aligned with ``programs``.  A program the column
+    lowering cannot express — or every program, when the kernel fails to
+    build — runs through the interpreted reference instead, and each such
+    fallback bumps ``STATS.fallbacks``.
     """
-    if _np is None or not programs:
-        return None
     config = core.config
-    kernel = _kernel.vector_kernel_for(config)
-    if kernel is None:
-        return None
-    config_dig = _kernel.config_digest(config)
-    program_digests = [_kernel.program_digest(program) for program in programs]
-    plans = kernel_batch._plan_for(core, config_dig, programs, program_digests)
+    kernel = _kernel.vector_kernel_for(config) if programs else None
+    plans: dict[str, list] = {}
+    digests: list[Optional[str]] = [None] * len(programs)
+    if kernel is not None:
+        digests = [_kernel.program_digest(program) for program in programs]
+        plans = _plan_for(core, _kernel.config_digest(config), programs, digests)
     results = []
-    for program, digest in zip(programs, program_digests):
-        if not program.body:
-            results.append(core.run_interpreted(program, max_instructions, True))
-            continue
-        if supports_vector(program):
-            warm = _frozen_warm_for(config, program)
-            if warm is not None:
-                try:
-                    result = kernel(core, program, max_instructions, plans[digest], warm)
-                except Unvectorizable:
-                    result = None
-                if result is not None:
-                    STATS.vector_runs += 1
-                    results.append(result)
-                    continue
-        STATS.fallbacks += 1
-        results.append(_run_via_batch(core, config, program, max_instructions, plans[digest]))
+    for program, digest in zip(programs, digests):
+        result = None
+        if kernel is not None and supports_vector(program):
+            warm = warm_state_for(config, program)
+            try:
+                result = kernel(core, program, max_instructions, plans[digest], warm)
+            except Unvectorizable:
+                result = None
+        if result is None:
+            STATS.fallbacks += 1
+            result = core.run_interpreted(program, max_instructions, True)
+        else:
+            STATS.vector_runs += 1
+        results.append(result)
     return results

@@ -34,11 +34,11 @@ inefficiencies) is modelled statistically: programs may carry
 
 Implementation notes (hot loop)
 -------------------------------
-``run`` is the single hottest function of the repository — every GA fitness
-evaluation is one call.  By default it executes through a *program-
-specialized compiled kernel* (see :mod:`repro.uarch.kernel` and
-ARCHITECTURE.md, "Kernel lifecycle"); ``run_interpreted`` below is the
-reference implementation the kernels are generated from and differentially
+``run`` is the single hottest function of the repository — every
+simulation is one call.  By default it executes through the
+*config-specialized compiled kernel* (see :mod:`repro.uarch.kernel_vector`
+and ARCHITECTURE.md, "Kernel lifecycle"); ``run_interpreted`` below is the
+reference implementation the kernel is generated from and differentially
 tested against, and its inner loop avoids per-dynamic-op Python overhead:
 
 * Static per-instruction facts (class flags, latencies, ACE fractions,
@@ -173,15 +173,14 @@ class OutOfOrderCore:
         cache warm-up before a detailed simulation window.
 
         Execution is delegated to the selected *kernel backend* (see
-        :mod:`repro.uarch.kernel_backends`): by default the per-program
-        specialized kernels of :mod:`repro.uarch.kernel`, with the
-        ``interpreted`` reference and the population-at-once ``batch`` plane
-        as registered alternatives.  All backends are bit-identical to the
-        interpreted reference loop — same floating-point addition order,
-        same RNG consumption — so the switch is purely about speed.  Set
-        ``REPRO_KERNEL=0`` to force the interpreter; invocations a compiled
-        kernel does not cover (explicitly simulated setup sections, enormous
-        bodies) fall back automatically.
+        :mod:`repro.uarch.kernel_backends`) as a batch of one: by default
+        the compiled column plane of :mod:`repro.uarch.kernel_vector`, with
+        the ``interpreted`` reference as the only alternative.  Both are
+        bit-identical — same floating-point addition order, same RNG
+        consumption — so the switch is purely about speed.  Set
+        ``REPRO_KERNEL=0`` to force the interpreter.  ``functional_setup=
+        False`` and programs the compiled path cannot express (explicit
+        setup sections, enormous bodies) run interpreted automatically.
         """
         if functional_setup:
             from repro.uarch import kernel_backends as _backends
@@ -198,7 +197,7 @@ class OutOfOrderCore:
     ) -> SimulationResult:
         """The interpreted reference implementation of :meth:`run`.
 
-        Kept as the semantics oracle for the generated kernels: the
+        Kept as the semantics oracle for the generated kernel: the
         differential suite and the ``kernel-smoke`` gate compare the two
         paths cycle-for-cycle and ledger-credit-for-credit.
         """

@@ -29,13 +29,8 @@ accounts at the end of a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-
-try:  # numpy only accelerates the bulk interval path; the ledger runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the vector-less test matrix
-    _np = None
 
 from repro.registry import RegistryError, suggest
 from repro.vuln.structures import (
@@ -107,55 +102,6 @@ class AceAccumulator:
         duration = float(end - start)
         self.occupied_entry_cycles += duration
         self.ace_bit_cycles += duration * self.bits_per_entry * ace_fraction
-
-    def add_intervals(self, starts, ends, ace_fractions=None) -> None:
-        """Bulk :meth:`add_interval` over parallel columns of intervals.
-
-        Semantically *exactly* the per-element loop ``for i: add_interval(
-        starts[i], ends[i], ace_fractions[i])`` — same validation errors at
-        the same element, same accumulator values to the last bit.  A numpy
-        fast path replaces the loop only when the reduction is provably
-        bit-identical: every duration and fraction contribution is an exact
-        integer-valued float (fractions all 0 or 1), the accumulators hold
-        integer values, and no partial sum can leave the 2**53 window where
-        float addition is associative.  ``ace_fractions=None`` means 1.0 for
-        every interval.  Accepts any indexable columns (lists, numpy arrays).
-        """
-        count = len(starts)
-        if len(ends) != count or (ace_fractions is not None and len(ace_fractions) != count):
-            raise ValueError("interval columns must have equal lengths")
-        if _np is not None and count >= 8:
-            starts_arr = _np.asarray(starts, dtype=_np.int64)
-            ends_arr = _np.asarray(ends, dtype=_np.int64)
-            durations = ends_arr - starts_arr
-            if int(durations.min()) >= 0:
-                if ace_fractions is None:
-                    fractions = None
-                    exact = True
-                    ace_total = int(durations.sum()) * self.bits_per_entry
-                else:
-                    fractions = _np.asarray(ace_fractions, dtype=_np.float64)
-                    exact = bool(((fractions == 0.0) | (fractions == 1.0)).all())
-                    if exact:
-                        ace_total = int(durations[fractions == 1.0].sum()) * self.bits_per_entry
-                if exact:
-                    occupied_total = int(durations.sum())
-                    if (
-                        self.ace_bit_cycles.is_integer()
-                        and self.occupied_entry_cycles.is_integer()
-                        and self.ace_bit_cycles + ace_total < 2**53
-                        and self.occupied_entry_cycles + occupied_total < 2**53
-                    ):
-                        self.ace_bit_cycles += float(ace_total)
-                        self.occupied_entry_cycles += float(occupied_total)
-                        return
-        add = self.add_interval
-        if ace_fractions is None:
-            for index in range(count):
-                add(starts[index], ends[index])
-        else:
-            for index in range(count):
-                add(starts[index], ends[index], ace_fractions[index])
 
     def add_bit_cycles(self, ace_bit_cycles: float, occupied_entry_cycles: float = 0.0) -> None:
         """Directly add pre-computed ACE bit-cycles (used for caches/TLB)."""
@@ -340,20 +286,6 @@ class LifetimeTracker:
     # ``flush`` is the ledger-event name for end-of-run closure.
     flush = finalize
 
-    def clone(self) -> "LifetimeTracker":
-        """Independent copy of this tracker's full lifetime state.
-
-        Word states are immutable tuples, so a shallow dict copy suffices
-        (and preserves insertion order, which downstream eviction-victim
-        selection depends on).  Used by the batch evaluation plane to share
-        one functional warm-up across a whole population.
-        """
-        dup = LifetimeTracker(word_bits=self.word_bits)
-        dup._live = dict(self._live)
-        dup.ace_word_cycles = self.ace_word_cycles
-        dup.total_events = self.total_events
-        return dup
-
     def live_words(self) -> int:
         """Number of words with an open lifetime interval (used by tests)."""
         return len(self._live)
@@ -385,14 +317,6 @@ class ResidencyTracker:
     def ace_bit_cycles(self) -> float:
         """Total ACE bit-cycles accumulated so far."""
         return float(self.ace_entry_cycles) * self.entry_bits
-
-    def clone(self) -> "ResidencyTracker":
-        """Independent copy of this tracker's residency totals."""
-        dup = ResidencyTracker(entry_bits=self.entry_bits)
-        dup.ace_entry_cycles = self.ace_entry_cycles
-        dup.total_events = self.total_events
-        return dup
-
 
 # -------------------------------------------------------------------- ledger
 
@@ -466,14 +390,6 @@ class VulnerabilityLedger:
     ) -> None:
         """Record one occupancy interval of a core structure."""
         self.account(name).add_interval(start, end, ace_fraction)
-
-    def add_intervals(self, name: "str | StructureName", starts, ends, ace_fractions=None) -> None:
-        """Bulk :meth:`add_interval`: parallel (start, end, ace_fraction) columns.
-
-        Exactly equivalent to looping ``add_interval`` over the columns; see
-        :meth:`AceAccumulator.add_intervals` for the bit-identical contract.
-        """
-        self.account(name).add_intervals(starts, ends, ace_fractions)
 
     def credit(
         self,
@@ -575,24 +491,3 @@ class VulnerabilityLedger:
         )
 
     # ------------------------------------------------------------- cloning
-
-    def clone(self) -> "VulnerabilityLedger":
-        """Independent copy of the ledger: accounts plus tracker state.
-
-        The batch evaluation plane warms one master ledger per (config,
-        warm-up footprint) and clones it per genome; the clone's subsequent
-        event/credit sequence is then exactly the sequence a freshly warmed
-        ledger would see, so results stay bit-identical to the per-run path.
-        """
-        dup = VulnerabilityLedger.__new__(VulnerabilityLedger)
-        dup.config = self.config
-        dup.accounts = {name: replace(account) for name, account in self.accounts.items()}
-        dup._descriptors = dict(self._descriptors)
-        dup._word_trackers = {
-            name: tracker.clone() for name, tracker in self._word_trackers.items()
-        }
-        dup._residency_trackers = {
-            name: tracker.clone() for name, tracker in self._residency_trackers.items()
-        }
-        dup._collected = self._collected
-        return dup

@@ -108,7 +108,9 @@ class TestDefaultComponents:
     def test_kernel_backend_registry(self):
         from repro.api.registry import KERNEL_BACKENDS
 
-        assert KERNEL_BACKENDS.names() == ["batch", "source", "interpreted", "vector"]
+        assert KERNEL_BACKENDS.names() == ["vector", "interpreted", "batch", "source"]
+        assert KERNEL_BACKENDS.create("batch") is KERNEL_BACKENDS.create("vector")
+        assert KERNEL_BACKENDS.create("source") is KERNEL_BACKENDS.create("vector")
         assert registries()["kernel_backends"] is KERNEL_BACKENDS
 
     def test_structure_registry_is_exposed(self):

@@ -86,6 +86,16 @@ class TestRunSpecValidation:
         with pytest.raises(SpecError, match="unknown scale_overrides field"):
             RunSpec(kind="simulate", scale_overrides={"ga_pop": 4}).validate()
 
+    @pytest.mark.parametrize("overrides", [{"rob_entries": 0}, {"l2": {"line_bytes": 0}}])
+    def test_invalid_machine_config_rejected_at_validation(self, overrides):
+        """Overrides the machine config rejects fail validate(), as SpecError."""
+        spec = RunSpec.from_json_dict({"kind": "simulate", "config_overrides": overrides})
+        with pytest.raises(SpecError, match="invalid config_overrides for 'baseline'"):
+            spec.validate()
+        sweep = RunSpec(kind="sweep", runs=(spec,))
+        with pytest.raises(SpecError, match="invalid config_overrides"):
+            sweep.validate()
+
     def test_missing_kind(self):
         with pytest.raises(SpecError, match="needs a 'kind'"):
             RunSpec.from_json_dict({"config": "baseline"})

@@ -195,42 +195,3 @@ class TestCacheProperties:
         assert stats.hits + stats.misses == stats.accesses
         assert cache.resident_line_count() <= cache.config.num_lines
         assert 0.0 <= cache.avf(cycle + 1) <= 1.0
-
-
-class TestAccessMany:
-    """Bulk access must equal the per-element loop, tuple for tuple."""
-
-    def _mixed_addresses(self):
-        return [index * 40 % (1 << 14) for index in range(200)]
-
-    def test_bulk_equals_loop_with_per_element_cycles(self):
-        addresses = self._mixed_addresses()
-        cycles = [10 + index for index in range(len(addresses))]
-        bulk = small_cache()
-        loop = small_cache()
-        got = bulk.access_many(addresses, False, cycles)
-        want = [loop.access_parts(a, False, c) for a, c in zip(addresses, cycles)]
-        assert got == want
-        bulk.finalize(1000)
-        loop.finalize(1000)
-        assert bulk.lifetime.ace_bit_cycles() == loop.lifetime.ace_bit_cycles()
-        assert bulk.stats == loop.stats
-
-    def test_bulk_scalar_cycle_and_writes(self):
-        addresses = self._mixed_addresses()
-        bulk = small_cache()
-        loop = small_cache()
-        got = bulk.access_many(addresses, True, 7, ace=False)
-        want = [loop.access_parts(a, True, 7, ace=False) for a in addresses]
-        assert got == want
-        assert bulk.stats == loop.stats
-
-    def test_bulk_accepts_numpy_columns(self):
-        numpy = pytest.importorskip("numpy")
-        addresses = numpy.asarray(self._mixed_addresses(), dtype=numpy.int64)
-        cycles = numpy.arange(10, 10 + len(addresses), dtype=numpy.int64)
-        bulk = small_cache()
-        loop = small_cache()
-        got = bulk.access_many(addresses, False, cycles)
-        want = [loop.access_parts(int(a), False, int(c)) for a, c in zip(addresses, cycles)]
-        assert got == want

@@ -1,19 +1,21 @@
-"""Differential suite: generated kernels vs the interpreted reference loop.
+"""Differential suite: the compiled ``vector`` path vs the interpreted reference.
 
 Every comparison checks *bit-identity*, not closeness: total cycles, commit
 counters, branch/miss statistics, and every ledger account's occupancy and
 ACE bit-cycle totals must match exactly (same float addition order, same RNG
 consumption).  Programs cover the stressmark generator's output, the
-synthetic workload proxies, and seeded randomized programs over the whole
-ISA; configurations cover the paper baseline, a constrained derivative
-(small queues, fewer architected registers than the ISA — exercising the
-kernel's non-resident register path), and the ``extended`` config (store
-buffer + L2 TLB).
+synthetic workload proxies, seeded randomized programs over the whole ISA
+and hypothesis-drawn ones; configurations cover the paper baseline, a
+constrained derivative (small queues, fewer architected registers than the
+ISA — exercising the kernel's non-resident register path), and the
+``extended`` config (store buffer + L2 TLB).  Compiled runs also assert
+that the column plane actually engaged (no silent fallback).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.isa.instructions import (
     OperandWidth,
@@ -35,9 +37,9 @@ from repro.isa.memoryref import (
 )
 from repro.isa.program import BranchBehavior, Program, WarmupRegion
 from repro.stressmark.generator import StressmarkGenerator, reference_knobs
-from repro.uarch import kernel, kernel_batch, kernel_vector
+from repro.uarch import kernel, kernel_backends, kernel_vector
 from repro.uarch.config import MachineConfig, baseline_config, config_a, extended_config
-from repro.uarch.kernel_backends import KERNEL_BACKENDS, SOURCE, VECTOR
+from repro.uarch.kernel_backends import INTERPRETED, KERNEL_BACKENDS, VECTOR
 from repro.uarch.pipeline import OutOfOrderCore
 from repro.utils.rng import DeterministicRng
 from repro.workloads.suite import all_profiles
@@ -92,9 +94,9 @@ def assert_identical(reference, candidate, label: str) -> None:
 def run_both(config, program, max_instructions, seed=3):
     core = OutOfOrderCore(config, seed=seed)
     reference = core.run_interpreted(program, max_instructions=max_instructions)
-    kernel_run = kernel.kernel_for(config, program)
-    assert kernel_run is not None, "kernel generation failed"
-    candidate = kernel_run(core, program, max_instructions)
+    fallbacks = kernel_vector.STATS.fallbacks
+    candidate = VECTOR.run_one(core, program, max_instructions)
+    assert kernel_vector.STATS.fallbacks == fallbacks, "compiled path fell back"
     return reference, candidate
 
 
@@ -150,6 +152,8 @@ def random_program(seed: int, name: str) -> Program:
     )
 
 
+
+
 class TestKernelDifferential:
     @pytest.mark.parametrize("config_factory", [baseline_config, config_a, extended_config, constrained_config])
     def test_reference_stressmark(self, config_factory):
@@ -186,7 +190,7 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 82, 1000, 2_047])
     def test_partial_iteration_budgets(self, budget):
-        """Budgets that end mid-iteration exercise the generic tail path."""
+        """Budgets that end mid-iteration exercise the kernel's tail pass."""
         config = baseline_config()
         program = random_program(99, "tail-program")
         reference, candidate = run_both(config, program, budget)
@@ -195,14 +199,64 @@ class TestKernelDifferential:
             budget, len(program.body) * program.iterations
         )
 
+    @settings(
+        max_examples=12,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        program_seed=st.integers(min_value=0, max_value=10_000),
+        budget=st.integers(min_value=1, max_value=2_500),
+        config_factory=st.sampled_from([baseline_config, extended_config]),
+    )
+    def test_random_programs_match_interpreter(self, program_seed, budget, config_factory):
+        """Property: any random program, any budget, vector == interpreted."""
+        config = config_factory()
+        program = random_program(program_seed, f"prop-{program_seed}")
+        reference, candidate = run_both(config, program, budget)
+        assert_identical(reference, candidate, f"prop-{program_seed}/{config.name}/{budget}")
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        regions=st.lists(
+            st.builds(
+                WarmupRegion,
+                base=st.integers(min_value=0, max_value=1 << 22).map(lambda value: value * 8),
+                size_bytes=st.sampled_from([64, 100, 4096, 1 << 16, 3 << 18, 1 << 21, 5 << 20]),
+                dirty=st.booleans(),
+                ace=st.booleans(),
+                word_fraction=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+                recurrent=st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        config_factory=st.sampled_from([baseline_config, extended_config, constrained_config]),
+    )
+    def test_random_footprints_match_interpreter(self, regions, config_factory):
+        """Property: any overlapping warm-up footprint, vector == interpreted."""
+        config = config_factory()
+        program = random_program(len(regions), "footprint")
+        program.warmup_regions = regions
+        reference, candidate = run_both(config, program, 1_200)
+        assert_identical(reference, candidate, f"footprint/{config.name}")
+
     def test_dispatcher_uses_kernel_by_default(self, monkeypatch):
         monkeypatch.delenv(kernel.KERNEL_ENV_VAR, raising=False)
+        monkeypatch.delenv(kernel_backends.BACKEND_ENV_VAR, raising=False)
         kernel.clear_kernels()
         config = baseline_config()
         program = random_program(5, "dispatch-check")
         core = OutOfOrderCore(config, seed=3)
         core.run(program, max_instructions=500)
         assert kernel.STATS.compiled == 1
+        assert kernel_vector.STATS.vector_runs == 1
         core.run(program, max_instructions=500)
         assert kernel.STATS.memo_hits >= 1
 
@@ -212,10 +266,12 @@ class TestKernelDifferential:
         config = baseline_config()
         program = random_program(6, "disabled-check")
         core = OutOfOrderCore(config, seed=3)
+        core.kernel_backend = "vector"  # the kill switch beats an explicit pin
         disabled = core.run(program, max_instructions=500)
         assert kernel.STATS.compiled == 0 and kernel.STATS.generated == 0
         monkeypatch.delenv(kernel.KERNEL_ENV_VAR, raising=False)
         enabled = core.run(program, max_instructions=500)
+        assert kernel_vector.STATS.vector_runs == 1
         assert_identical(disabled, enabled, "env-switch")
 
     def test_explicit_setup_section_falls_back_to_interpreter(self):
@@ -231,24 +287,127 @@ class TestKernelDifferential:
         assert_identical(reference, via_run, "setup-fallback")
 
 
-class TestBatchKernelDifferential:
-    """Batch plane vs per-genome kernels vs the interpreted reference.
+class TestBackendSelection:
+    @pytest.mark.parametrize("alias", ["batch", "source"])
+    def test_retired_names_resolve_to_vector(self, alias, monkeypatch):
+        monkeypatch.delenv(kernel.KERNEL_ENV_VAR, raising=False)
+        assert KERNEL_BACKENDS.create(alias) is VECTOR
+        assert kernel_backends.resolve(alias) is VECTOR
+        monkeypatch.setenv(kernel_backends.BACKEND_ENV_VAR, alias)
+        assert kernel_backends.resolve() is VECTOR
 
-    Every program of a batch must be bit-identical under all three
-    execution paths — the config batch kernel with shared warm state, the
-    per-(program, config) specialized kernel, and the interpreted loop.
+    def test_default_and_precedence(self, monkeypatch):
+        monkeypatch.delenv(kernel.KERNEL_ENV_VAR, raising=False)
+        monkeypatch.delenv(kernel_backends.BACKEND_ENV_VAR, raising=False)
+        assert kernel_backends.resolve() is VECTOR
+        monkeypatch.setenv(kernel_backends.BACKEND_ENV_VAR, "interpreted")
+        assert kernel_backends.resolve() is INTERPRETED
+        assert kernel_backends.resolve("vector") is VECTOR  # a pin beats the env
+        monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "0")
+        assert kernel_backends.resolve("vector") is INTERPRETED  # kill switch wins
+
+    def test_registry_holds_two_implementations(self):
+        backends = {id(KERNEL_BACKENDS.create(name)) for name in KERNEL_BACKENDS.names()}
+        assert backends == {id(VECTOR), id(INTERPRETED)}
+
+
+def _with_setup(program):
+    program.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
+    return program
+
+
+def _emptied(program):
+    program.body = []  # not constructible directly; emptied post-validation
+    return program
+
+
+def _double_resolve(monkeypatch, core):
+    """Stores whose info claims a dynamic latency resolve at issue and commit."""
+    info_of = core._instruction_info
+
+    def patched(instruction, index, setup, program):
+        info = info_of(instruction, index, setup, program)
+        if info[4]:  # is_store
+            info = info[:14] + (None,) + info[15:]
+        return info
+
+    monkeypatch.setattr(core, "_instruction_info", patched)
+
+
+class TestFallbacks:
+    """Every reason the column plane declines a program lands on the
+    interpreter — bit-identical — and bumps ``STATS.fallbacks``."""
+
+    @pytest.mark.parametrize(
+        "reason",
+        [
+            "setup_section",
+            "empty_body",
+            "oversize_body",
+            "op_budget",
+            "double_resolve",
+            "kernel_build_failure",
+        ],
+    )
+    def test_fallback_runs_interpreted(self, reason, monkeypatch):
+        kernel.clear_kernels()
+        config = baseline_config()
+        program = random_program(81, f"fallback-{reason}")
+        core = OutOfOrderCore(config, seed=3)
+        if reason == "setup_section":
+            _with_setup(program)
+        elif reason == "empty_body":
+            _emptied(program)
+        elif reason == "oversize_body":
+            monkeypatch.setattr(kernel, "MAX_KERNEL_BODY", len(program.body) - 1)
+        elif reason == "op_budget":
+            monkeypatch.setattr(kernel_vector, "VECTOR_MAX_OPS", 10)
+        elif reason == "double_resolve":
+            program.body.append(make_store(StridedPattern(base=0, stride=8, region=4096), srcs=[1]))
+            _double_resolve(monkeypatch, core)
+        elif reason == "kernel_build_failure":
+            def boom(config):
+                raise RuntimeError("codegen exploded")
+
+            monkeypatch.setattr(kernel, "generate_vector_kernel_source", boom)
+        reference = core.run_interpreted(program, max_instructions=600)
+        result = VECTOR.run_one(core, program, 600)
+        assert_identical(reference, result, f"fallback-{reason}")
+        assert kernel_vector.STATS.fallbacks == 1
+        assert kernel_vector.STATS.vector_runs == 0
+
+    def test_negative_address_raises_like_the_interpreter(self):
+        kernel.clear_kernels()
+        config = baseline_config()
+        program = random_program(83, "negative-address")
+        program.body.append(make_load(4, FixedPattern(address=-64)))
+        core = OutOfOrderCore(config, seed=3)
+        with pytest.raises(ValueError) as reference_error:
+            core.run_interpreted(program, max_instructions=600)
+        with pytest.raises(ValueError) as vector_error:
+            VECTOR.run_one(core, program, 600)
+        assert str(vector_error.value) == str(reference_error.value)
+        assert kernel_vector.STATS.fallbacks == 1
+
+
+class TestBatchKernelDifferential:
+    """Callers naming the retired ``batch`` plane run the vector plane.
+
+    Populations go through the ``batch`` alias and must match the
+    interpreter program for program; the population sharing the batch plane
+    introduced — one operand plan per batch, one warm state per footprint —
+    lives in :mod:`repro.uarch.kernel_vector` and is checked here.
     """
 
-    def _assert_three_way(self, config, programs, budget, label):
+    def _assert_batch_alias(self, config, programs, budget, label):
         core = OutOfOrderCore(config, seed=3)
-        via_batch = kernel_batch.run_many(core, programs, budget)
-        assert via_batch is not None, f"{label}: batch kernel generation failed"
+        backend = KERNEL_BACKENDS.create("batch")
+        assert backend is VECTOR
+        via_batch = backend.run_many(core, programs, budget)
         assert len(via_batch) == len(programs)
         for index, (program, candidate) in enumerate(zip(programs, via_batch)):
             reference = core.run_interpreted(program, max_instructions=budget)
-            assert_identical(reference, candidate, f"{label}[{index}] batch-vs-interp")
-            per_genome = SOURCE.run_one(core, program, budget)
-            assert_identical(per_genome, candidate, f"{label}[{index}] batch-vs-source")
+            assert_identical(reference, candidate, f"{label}[{index}] batch-alias-vs-interp")
 
     @pytest.mark.parametrize(
         "config_factory", [baseline_config, config_a, extended_config, constrained_config]
@@ -262,7 +421,7 @@ class TestBatchKernelDifferential:
             generator.codegen.generate(knobs.derive(random_seed=seed))
             for seed in range(1, 5)
         ]
-        self._assert_three_way(config, programs, 2_500, f"batch-stressmark/{config.name}")
+        self._assert_batch_alias(config, programs, 2_500, f"batch-stressmark/{config.name}")
 
     def test_mixed_program_lengths_in_one_batch(self):
         """One batch mixing random programs and stressmarks of varying size."""
@@ -276,99 +435,78 @@ class TestBatchKernelDifferential:
             random_program(47, "mixed-c"),
         ]
         assert len({len(program.body) for program in programs}) > 1
-        self._assert_three_way(config, programs, 2_000, "batch-mixed-lengths")
+        self._assert_batch_alias(config, programs, 2_000, "batch-mixed-lengths")
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
     def test_partial_final_iteration_budgets(self, budget):
-        """Budgets ending mid-iteration exercise the batch kernel's tail."""
+        """Budgets ending mid-iteration exercise the kernel's tail pass."""
         config = baseline_config()
         programs = [random_program(97, "batch-tail-a"), random_program(99, "batch-tail-b")]
-        self._assert_three_way(config, programs, budget, f"batch-budget-{budget}")
+        self._assert_batch_alias(config, programs, budget, f"batch-budget-{budget}")
 
     def test_duplicate_programs_share_one_plan_entry(self):
         """The same digest appearing twice is planned once, simulated twice."""
-        kernel_batch.clear_batch_caches()
+        kernel.clear_kernels()
         config = baseline_config()
         program = random_program(51, "batch-dup")
-        self._assert_three_way(config, [program, program, program], 1_500, "batch-dup")
-        assert kernel_batch.STATS.plans_built == 1
+        self._assert_batch_alias(config, [program, program, program], 1_500, "batch-dup")
+        assert kernel_vector.STATS.plans_built == 1
+        assert kernel_vector.STATS.vector_runs == 3
 
     def test_setup_program_skips_warm_sharing(self):
-        """Explicit setup instructions force the unshared warm-up path."""
-        kernel_batch.clear_batch_caches()
+        """Explicit setup instructions never build a shared warm state."""
+        kernel.clear_kernels()
         config = baseline_config()
-        with_setup = random_program(53, "batch-setup")
-        with_setup.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
+        with_setup = _with_setup(random_program(53, "batch-setup"))
         plain = random_program(54, "batch-plain")
-        assert not kernel_batch.supports_warm_sharing(with_setup)
-        assert kernel_batch.supports_warm_sharing(plain)
-        self._assert_three_way(config, [with_setup, plain], 1_500, "batch-setup-mix")
-        assert kernel_batch.STATS.warm_builds == 1  # only the plain program shares
+        assert not kernel_vector.supports_vector(with_setup)
+        assert kernel_vector.supports_vector(plain)
+        self._assert_batch_alias(config, [with_setup, plain], 1_500, "batch-setup-mix")
+        assert kernel_vector.STATS.warm_builds == 1  # only the plain program shares
 
     def test_warm_state_reused_across_batches(self):
         """A second batch with the same footprint rebuilds nothing."""
-        kernel_batch.clear_batch_caches()
+        kernel.clear_kernels()
         config = baseline_config()
         generator = StressmarkGenerator(config=config, max_instructions=1_500)
         knobs = reference_knobs(config)
         first = [generator.codegen.generate(knobs.derive(random_seed=s)) for s in (1, 2)]
         second = [generator.codegen.generate(knobs.derive(random_seed=s)) for s in (3, 4)]
         core = OutOfOrderCore(config, seed=3)
-        assert kernel_batch.run_many(core, first, 1_500) is not None
-        builds_after_first = kernel_batch.STATS.warm_builds
-        assert kernel_batch.run_many(core, second, 1_500) is not None
-        assert kernel_batch.STATS.warm_hits > 0
-        assert kernel_batch.STATS.warm_builds == builds_after_first
+        kernel_vector.run_many(core, first, 1_500)
+        builds_after_first = kernel_vector.STATS.warm_builds
+        kernel_vector.run_many(core, second, 1_500)
+        assert kernel_vector.STATS.warm_hits > 0
+        assert kernel_vector.STATS.warm_builds == builds_after_first
 
     def test_empty_body_program_runs_interpreted_inline(self):
-        """The batch runner's empty-body guard routes to the interpreter."""
+        """An emptied body inside a batch runs interpreted; the rest vectorize."""
+        kernel.clear_kernels()
         config = baseline_config()
-        empty = random_program(57, "batch-emptied")
-        empty.body = []  # not constructible directly; emptied post-validation
+        empty = _emptied(random_program(57, "batch-emptied"))
         plain = random_program(58, "batch-nonempty")
-        core = OutOfOrderCore(config, seed=3)
-        results = kernel_batch.run_many(core, [empty, plain], 1_000)
-        assert results is not None and len(results) == 2
-        assert_identical(
-            core.run_interpreted(empty, max_instructions=1_000),
-            results[0],
-            "batch-empty-body[0]",
-        )
-        assert_identical(
-            core.run_interpreted(plain, max_instructions=1_000),
-            results[1],
-            "batch-empty-body[1]",
-        )
+        self._assert_batch_alias(config, [empty, plain], 1_000, "batch-empty-body")
+        assert kernel_vector.STATS.vector_runs == 1
 
 
 class TestVectorKernelDifferential:
-    """Vector plane vs batch plane vs per-genome kernels vs the interpreter.
+    """Vector plane vs the interpreter, population at a time.
 
-    Every program of a batch must be bit-identical under all *four*
-    execution paths; the vector path additionally asserts it actually
-    engaged (``kernel_vector.STATS.vector_runs``) rather than silently
-    falling back — a fallback-everything implementation would pass the
-    equality checks while vectorizing nothing.
+    Every program of a batch must be bit-identical to the interpreted
+    reference; the vector path additionally asserts it actually engaged
+    (``kernel_vector.STATS.vector_runs``) rather than silently falling back
+    — a fallback-everything implementation would pass the equality checks
+    while vectorizing nothing.
     """
 
-    pytestmark = pytest.mark.skipif(
-        not kernel_vector.numpy_available(), reason="numpy not installed"
-    )
-
-    def _assert_four_way(self, config, programs, budget, label, expect_vectorized=None):
+    def _assert_two_way(self, config, programs, budget, label, expect_vectorized=None):
         kernel_vector.STATS.reset()
         core = OutOfOrderCore(config, seed=3)
         via_vector = kernel_vector.run_many(core, programs, budget)
-        assert via_vector is not None, f"{label}: vector kernel generation failed"
         assert len(via_vector) == len(programs)
-        via_batch = kernel_batch.run_many(core, programs, budget)
-        assert via_batch is not None, f"{label}: batch kernel generation failed"
         for index, (program, candidate) in enumerate(zip(programs, via_vector)):
             reference = core.run_interpreted(program, max_instructions=budget)
             assert_identical(reference, candidate, f"{label}[{index}] vector-vs-interp")
-            assert_identical(via_batch[index], candidate, f"{label}[{index}] vector-vs-batch")
-            per_genome = SOURCE.run_one(core, program, budget)
-            assert_identical(per_genome, candidate, f"{label}[{index}] vector-vs-source")
         if expect_vectorized is None:
             expect_vectorized = len(programs)
         assert kernel_vector.STATS.vector_runs == expect_vectorized, (
@@ -389,7 +527,7 @@ class TestVectorKernelDifferential:
             generator.codegen.generate(knobs.derive(random_seed=seed))
             for seed in range(1, 5)
         ]
-        self._assert_four_way(config, programs, 2_500, f"vector-stressmark/{config.name}")
+        self._assert_two_way(config, programs, 2_500, f"vector-stressmark/{config.name}")
 
     def test_mixed_program_lengths_in_one_batch(self):
         """One batch mixing random programs and stressmarks of varying size."""
@@ -403,24 +541,21 @@ class TestVectorKernelDifferential:
             random_program(47, "vmixed-c"),
         ]
         assert len({len(program.body) for program in programs}) > 1
-        self._assert_four_way(config, programs, 2_000, "vector-mixed-lengths")
+        self._assert_two_way(config, programs, 2_000, "vector-mixed-lengths")
 
     @pytest.mark.parametrize("budget", [1, 17, 81, 1_999, 2_001])
     def test_partial_final_iteration_budgets(self, budget):
         """Budgets ending mid-iteration exercise the vector kernel's tail."""
         config = baseline_config()
         programs = [random_program(97, "vtail-a"), random_program(99, "vtail-b")]
-        self._assert_four_way(config, programs, budget, f"vector-budget-{budget}")
+        self._assert_two_way(config, programs, budget, f"vector-budget-{budget}")
 
-    def test_setup_program_falls_back_to_batch(self):
+    def test_setup_program_runs_interpreted(self):
         """Explicit setup sections are out of vector scope; results still match."""
         config = baseline_config()
-        with_setup = random_program(53, "vsetup")
-        with_setup.setup = [make_alu(1, [0]), make_store(FixedPattern(address=64), srcs=[1])]
+        with_setup = _with_setup(random_program(53, "vsetup"))
         plain = random_program(54, "vplain")
-        assert not kernel_vector.supports_vector(with_setup)
-        assert kernel_vector.supports_vector(plain)
-        self._assert_four_way(
+        self._assert_two_way(
             config, [with_setup, plain], 1_500, "vector-setup-mix", expect_vectorized=1
         )
         assert kernel_vector.STATS.fallbacks == 1
@@ -428,18 +563,9 @@ class TestVectorKernelDifferential:
     def test_empty_body_program_runs_interpreted_inline(self):
         """The vector runner's empty-body guard routes to the interpreter."""
         config = baseline_config()
-        empty = random_program(57, "vemptied")
-        empty.body = []
+        empty = _emptied(random_program(57, "vemptied"))
         plain = random_program(58, "vnonempty")
-        core = OutOfOrderCore(config, seed=3)
-        results = kernel_vector.run_many(core, [empty, plain], 1_000)
-        assert results is not None and len(results) == 2
-        for index, program in enumerate([empty, plain]):
-            assert_identical(
-                core.run_interpreted(program, max_instructions=1_000),
-                results[index],
-                f"vector-empty-body[{index}]",
-            )
+        self._assert_two_way(config, [empty, plain], 1_000, "vector-empty-body", expect_vectorized=1)
 
     def test_backend_run_many_routes_through_vector_plane(self):
         """The registered backend engages the vector plane for batches."""
@@ -459,43 +585,64 @@ class TestVectorKernelDifferential:
             )
 
 
+_NUMPY_BLOCKED_RUN = """
+import importlib.abc, json, sys
+
+class BlockNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy blocked for this test")
+        return None
+
+sys.meta_path.insert(0, BlockNumpy())
+import repro.api.session
+from repro.api.session import Session
+from repro.api.spec import RunSpec
+from repro.uarch import kernel_vector
+
+imported = "numpy" in sys.modules
+with Session() as session:
+    simulate = session.run(RunSpec(kind="simulate", workloads=("429.mcf_proxy", "sha_proxy"),
+                                   kernel_backend="vector", jobs=1,
+                                   scale_overrides={"workload_instructions": 800}))
+    stressmark = session.run(RunSpec(kind="stressmark", kernel_backend="vector", jobs=1,
+                                     scale_overrides={"ga_population": 4, "ga_generations": 1,
+                                                      "stressmark_instructions": 800}))
+print(json.dumps({
+    "numpy_imported": imported or "numpy" in sys.modules,
+    "vector_runs": kernel_vector.STATS.vector_runs,
+    "fallbacks": kernel_vector.STATS.fallbacks,
+    "rows": len(simulate.rows),
+    "ser": bool(stressmark.ser),
+}))
+"""
+
+
 class TestVectorWithoutNumpy:
-    """The vector backend degrades loudly — never silently — without numpy."""
+    def test_spec_naming_vector_still_validates(self):
+        """With numpy unimportable, importing the API pulls no numpy in and
+        simulate + stressmark specs naming ``vector`` validate and run on
+        the vector plane."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-    def test_run_many_returns_none(self, monkeypatch):
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        assert not kernel_vector.numpy_available()
-        core = OutOfOrderCore(baseline_config(), seed=3)
-        assert kernel_vector.run_many(core, [random_program(63, "nonumpy")], 500) is None
-
-    def test_registry_create_raises_with_install_hint(self, monkeypatch):
-        from repro.registry import RegistryError
-
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        assert "vector" in KERNEL_BACKENDS.names()  # stays registered
-        with pytest.raises(RegistryError, match=r"repro-avf-stressmark\[vector\]"):
-            KERNEL_BACKENDS.create("vector")
-
-    def test_spec_naming_vector_still_validates(self, monkeypatch):
-        """Spec validation checks registration, not runtime availability."""
-        from repro.api.spec import RunSpec
-
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        spec = RunSpec(kind="stressmark", name="v", kernel_backend="vector")
-        spec.validate()  # must not raise
-
-    def test_backend_object_falls_back_to_batch_plane(self, monkeypatch):
-        """The backend instance itself (already resolved) degrades to batch."""
-        monkeypatch.setattr(kernel_vector, "_np", None)
-        config = baseline_config()
-        program = random_program(67, "nonumpy-fallback")
-        core = OutOfOrderCore(config, seed=3)
-        results = VECTOR.run_many(core, [program], 800)
-        assert_identical(
-            core.run_interpreted(program, max_instructions=800),
-            results[0],
-            "nonumpy-batch-fallback",
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        for name in (kernel.KERNEL_ENV_VAR, kernel_backends.BACKEND_ENV_VAR, "REPRO_JOBS"):
+            env.pop(name, None)
+        completed = subprocess.run(
+            [sys.executable, "-c", _NUMPY_BLOCKED_RUN],
+            capture_output=True, text=True, env=env, timeout=300,
         )
+        assert completed.returncode == 0, completed.stderr[-4000:]
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert report["numpy_imported"] is False
+        assert report["vector_runs"] > 0 and report["fallbacks"] == 0
+        assert report["rows"] >= 1 and report["ser"]
 
 
 class TestKernelCache:
@@ -508,24 +655,25 @@ class TestKernelCache:
         store = ArtifactStore(tmp_path / "kernels.sqlite")
         try:
             kernel.configure_source_store(store)
-            first = kernel.kernel_for(config, program)
+            first = kernel.vector_kernel_for(config)
             assert first is not None and kernel.STATS.generated == 1
-            key = kernel.source_key(kernel.program_digest(program), kernel.config_digest(config))
+            key = kernel.vector_source_key(kernel.config_digest(config))
             assert isinstance(store.get(key), str)
 
             # A fresh process (simulated by clearing the in-process memo)
             # loads source from the store instead of regenerating.
             kernel.clear_kernels()
-            second = kernel.kernel_for(config, program)
+            second = kernel.vector_kernel_for(config)
             assert second is not None
             assert kernel.STATS.generated == 0
             assert kernel.STATS.source_store_hits == 1
             core = OutOfOrderCore(config, seed=3)
             assert_identical(
                 core.run_interpreted(program, max_instructions=400),
-                second(core, program, 400),
+                VECTOR.run_one(core, program, 400),
                 "store-kernel",
             )
+            assert kernel_vector.STATS.vector_runs == 1
         finally:
             kernel.configure_source_store(None)
             store.close()
@@ -541,14 +689,15 @@ class TestKernelCache:
             calls["n"] += 1
             raise RuntimeError("codegen exploded")
 
-        monkeypatch.setattr(kernel, "generate_kernel_source", boom)
-        assert kernel.kernel_for(config, program) is None
-        assert kernel.kernel_for(config, program) is None
+        monkeypatch.setattr(kernel, "generate_vector_kernel_source", boom)
+        assert kernel.vector_kernel_for(config) is None
+        assert kernel.vector_kernel_for(config) is None
         assert calls["n"] == 1 and kernel.STATS.failures == 1
         # The dispatcher degrades to the interpreter transparently.
         core = OutOfOrderCore(config, seed=3)
         result = core.run(program, max_instructions=300)
         assert result.stats.committed_instructions == 300
+        assert calls["n"] == 1
         kernel.clear_kernels()
 
     def test_closed_source_store_detaches_instead_of_failing(self, tmp_path):
@@ -566,9 +715,7 @@ class TestKernelCache:
         kernel.configure_source_store(store)
         store.close()  # the owner went away without detaching
 
-        config = baseline_config()
-        program = random_program(19, "closed-store-check")
-        assert kernel.kernel_for(config, program) is not None
+        assert kernel.vector_kernel_for(baseline_config()) is not None
         assert kernel.STATS.failures == 0
         kernel.clear_kernels()
 
@@ -581,8 +728,7 @@ class TestKernelCache:
         context = ExperimentContext(ExperimentScale.quick(), store=store)
         context.close()
         store.close()
-        program = random_program(23, "context-close-check")
-        assert kernel.kernel_for(baseline_config(), program) is not None
+        assert kernel.vector_kernel_for(baseline_config()) is not None
         assert kernel.STATS.failures == 0
         kernel.clear_kernels()
 
@@ -617,15 +763,12 @@ class TestKernelCache:
             kernel.attach_source_store(healthy)
             kernel.attach_source_store(broken)
             broken.close()  # now every get/put on it raises
-            program = random_program(37, "failed-store-check")
-            assert kernel.kernel_for(baseline_config(), program) is not None
+            assert kernel.vector_kernel_for(baseline_config()) is not None
             assert kernel.STATS.failures == 0
             # The broken store was pruned and the healthy one restored —
             # persistence keeps working (source landed in the survivor).
             assert kernel._active_source_store() is healthy
-            key = kernel.source_key(
-                kernel.program_digest(program), kernel.config_digest(baseline_config())
-            )
+            key = kernel.vector_source_key(kernel.config_digest(baseline_config()))
             assert isinstance(healthy.get(key), str)
         finally:
             kernel.release_source_store(healthy)
@@ -636,29 +779,24 @@ class TestKernelCache:
 
     def test_memo_is_bounded(self, monkeypatch):
         kernel.clear_kernels()
-        monkeypatch.setattr(kernel, "KERNEL_CACHE_LIMIT", 2)
-        config = baseline_config()
-        for seed in (31, 32, 33):
-            assert kernel.kernel_for(config, random_program(seed, f"bound-{seed}")) is not None
-        assert len(kernel._kernels) == 2
+        monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
+        for config in (baseline_config(), config_a(), extended_config()):
+            assert kernel.vector_kernel_for(config) is not None
+        assert len(kernel._vector_kernels) == 2
         kernel.clear_kernels()
 
     def test_memo_eviction_is_least_recently_used(self, monkeypatch):
         """A hit refreshes recency, so eviction drops the coldest entry."""
         kernel.clear_kernels()
-        monkeypatch.setattr(kernel, "KERNEL_CACHE_LIMIT", 2)
-        config = baseline_config()
-        programs = {seed: random_program(seed, f"lru-{seed}") for seed in (71, 72, 73)}
-        keys = {
-            seed: (kernel.program_digest(program), kernel.config_digest(config))
-            for seed, program in programs.items()
-        }
-        assert kernel.kernel_for(config, programs[71]) is not None
-        assert kernel.kernel_for(config, programs[72]) is not None
-        assert kernel.kernel_for(config, programs[71]) is not None  # refresh 71
-        assert kernel.kernel_for(config, programs[73]) is not None  # evicts 72
-        assert keys[71] in kernel._kernels and keys[73] in kernel._kernels
-        assert keys[72] not in kernel._kernels
+        monkeypatch.setattr(kernel, "CONFIG_KERNEL_CACHE_LIMIT", 2)
+        configs = {"a": baseline_config(), "b": config_a(), "c": extended_config()}
+        keys = {label: kernel.config_digest(config) for label, config in configs.items()}
+        assert kernel.vector_kernel_for(configs["a"]) is not None
+        assert kernel.vector_kernel_for(configs["b"]) is not None
+        assert kernel.vector_kernel_for(configs["a"]) is not None  # refresh a
+        assert kernel.vector_kernel_for(configs["c"]) is not None  # evicts b
+        assert keys["a"] in kernel._vector_kernels and keys["c"] in kernel._vector_kernels
+        assert keys["b"] not in kernel._vector_kernels
         kernel.clear_kernels()
 
     def test_memo_eviction_does_not_break_reuse(self, monkeypatch):
@@ -669,13 +807,13 @@ class TestKernelCache:
         other's state every batch — results must stay identical anyway.
         """
         kernel.clear_kernels()
-        monkeypatch.setattr(kernel_batch, "WARM_CACHE_LIMIT", 1)
-        monkeypatch.setattr(kernel_batch, "PLAN_CACHE_LIMIT", 1)
+        monkeypatch.setattr(kernel_vector, "WARM_CACHE_LIMIT", 1)
+        monkeypatch.setattr(kernel_vector, "PLAN_CACHE_LIMIT", 1)
         config = baseline_config()
         first = random_program(74, "evict-a")
         second = random_program(75, "evict-b")
         second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
-        assert kernel_batch.warm_signature(first) != kernel_batch.warm_signature(second)
+        assert kernel_vector.warm_signature(first) != kernel_vector.warm_signature(second)
         core = OutOfOrderCore(config, seed=3)
         expected = {
             program.name: core.run_interpreted(program, max_instructions=800)
@@ -683,58 +821,56 @@ class TestKernelCache:
         }
         for round_index in range(2):
             for program in (first, second):  # each batch evicts the other's state
-                results = kernel_batch.run_many(core, [program], 800)
-                assert results is not None
+                results = kernel_vector.run_many(core, [program], 800)
                 assert_identical(
                     expected[program.name], results[0],
                     f"evict-round-{round_index}/{program.name}",
                 )
-        assert len(kernel_batch._warm_states) == 1
-        assert len(kernel_batch._plans) == 1
-        assert kernel_batch.STATS.warm_builds >= 4  # rebuilt after each eviction
+        assert len(kernel_vector._warm_states) == 1
+        assert len(kernel_vector._plans) == 1
+        assert kernel_vector.STATS.warm_builds >= 4  # rebuilt after each eviction
+        assert kernel_vector.STATS.vector_runs == 4
         kernel.clear_kernels()
 
-    @pytest.mark.skipif(not kernel_vector.numpy_available(), reason="numpy not installed")
     def test_vector_frozen_warm_eviction_does_not_break_reuse(self, monkeypatch):
-        """Same pinch for the vector plane's frozen-warm LRU."""
+        """The warm key includes the config: one footprint, two configs."""
         kernel.clear_kernels()
-        monkeypatch.setattr(kernel_vector, "VECTOR_WARM_CACHE_LIMIT", 1)
-        config = baseline_config()
-        first = random_program(76, "vevict-a")
-        second = random_program(77, "vevict-b")
-        second.warmup_regions = [WarmupRegion(base=8192, size_bytes=1 << 14, dirty=False)]
-        core = OutOfOrderCore(config, seed=3)
+        monkeypatch.setattr(kernel_vector, "WARM_CACHE_LIMIT", 1)
+        program = random_program(76, "vevict")
         for round_index in range(2):
-            for program in (first, second):
+            for config in (baseline_config(), extended_config()):
+                core = OutOfOrderCore(config, seed=3)
                 results = kernel_vector.run_many(core, [program], 800)
-                assert results is not None
                 assert_identical(
                     core.run_interpreted(program, max_instructions=800),
                     results[0],
-                    f"vevict-round-{round_index}/{program.name}",
+                    f"vevict-round-{round_index}/{config.name}",
                 )
-        assert len(kernel_vector._frozen_warm) == 1
+        assert len(kernel_vector._warm_states) == 1
+        assert kernel_vector.STATS.warm_builds == 4
         kernel.clear_kernels()
 
-    @pytest.mark.skipif(not kernel_vector.numpy_available(), reason="numpy not installed")
     def test_vector_source_store_round_trip(self, tmp_path):
-        """Vector kernel source persists under its own store namespace."""
+        """Kernel source and operand plans both persist in the store."""
         from repro.store.artifacts import ArtifactStore
 
         kernel.clear_kernels()
         config = baseline_config()
+        programs = [random_program(78, "plan-a"), random_program(79, "plan-b")]
+        core = OutOfOrderCore(config, seed=3)
         store = ArtifactStore(tmp_path / "kernels.sqlite")
         try:
             kernel.configure_source_store(store)
-            first = kernel.vector_kernel_for(config)
-            assert first is not None and kernel.STATS.generated == 1
-            cfg_digest = kernel.config_digest(config)
-            assert isinstance(store.get(kernel.vector_source_key(cfg_digest)), str)
+            first = kernel_vector.run_many(core, programs, 700)
+            assert kernel.STATS.generated == 1 and kernel_vector.STATS.plans_built == 1
             kernel.clear_kernels()
-            second = kernel.vector_kernel_for(config)
-            assert second is not None
+            second = kernel_vector.run_many(core, programs, 700)
             assert kernel.STATS.generated == 0
             assert kernel.STATS.source_store_hits == 1
+            assert kernel_vector.STATS.plans_built == 0
+            assert kernel_vector.STATS.plan_store_hits == 1
+            for index, (before, after) in enumerate(zip(first, second)):
+                assert_identical(before, after, f"plan-store[{index}]")
         finally:
             kernel.configure_source_store(None)
             store.close()
@@ -745,13 +881,12 @@ class TestKernelCache:
 
         kernel.clear_kernels()
         config = baseline_config()
-        program = random_program(29, "corrupt-source-check")
         store = ArtifactStore(tmp_path / "kernels.sqlite")
         try:
-            key = kernel.source_key(kernel.program_digest(program), kernel.config_digest(config))
-            store.put(key, "def kernel_run(:  # truncated garbage")
+            key = kernel.vector_source_key(kernel.config_digest(config))
+            store.put(key, "def vector_run(:  # truncated garbage")
             kernel.configure_source_store(store)
-            kernel_run = kernel.kernel_for(config, program)
+            kernel_run = kernel.vector_kernel_for(config)
             assert kernel_run is not None, "corrupt stored source must not disable the kernel"
             assert kernel.STATS.failures == 0
             assert kernel.STATS.generated == 1
@@ -783,10 +918,9 @@ class TestKernelCache:
 
     def test_distinct_configs_get_distinct_kernels(self):
         kernel.clear_kernels()
-        program = random_program(17, "digest-check")
         assert kernel.config_digest(baseline_config()) != kernel.config_digest(extended_config())
-        assert kernel.kernel_for(baseline_config(), program) is not kernel.kernel_for(
-            extended_config(), program
+        assert kernel.vector_kernel_for(baseline_config()) is not kernel.vector_kernel_for(
+            extended_config()
         )
         assert kernel.STATS.compiled == 2
         kernel.clear_kernels()

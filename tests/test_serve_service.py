@@ -154,6 +154,32 @@ def test_invalid_spec_rejected_without_queueing(gated):
     assert session.ran == []
 
 
+@pytest.mark.parametrize("overrides", [{"rob_entries": 0}, {"l2": {"line_bytes": 0}}])
+def test_invalid_machine_config_rejected_before_journal(tmp_path, overrides):
+    """A spec whose machine config cannot be built never reaches the journal."""
+    from repro.serve.journal import JobJournal
+
+    journal_path = tmp_path / "journal.jsonl"
+    session = FakeSession()
+    server = ReproServer(session, port=0, journal=JobJournal(journal_path))
+    server.start()
+    try:
+        with _client(server) as client:
+            with pytest.raises(RemoteError) as excinfo:
+                client._checked(client._request({
+                    "verb": "submit",
+                    "spec": {"kind": "simulate", "config_overrides": overrides},
+                }))
+            assert excinfo.value.code == "invalid_spec"
+            assert "invalid config_overrides" in str(excinfo.value)
+            assert client.stats()["counters"]["submitted"] == 0
+    finally:
+        server.stop()
+        server.join(timeout=30.0)
+    assert session.ran == []
+    assert not journal_path.exists() or "submit" not in journal_path.read_text()
+
+
 def test_inflight_dedup_one_evaluation(gated):
     server, session, gate = gated
     with _client(server, "one") as first, _client(server, "two") as second:

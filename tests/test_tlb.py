@@ -139,28 +139,3 @@ class TestWarmPage:
         tlb.warm_page(0, cycle=0)
         assert tlb.access(0, cycle=5)
         assert tlb.resident_entry_count() == 1
-
-
-class TestAccessMany:
-    """Bulk translate must equal the per-element loop, element for element."""
-
-    def test_bulk_equals_loop(self):
-        addresses = [index * 1536 % (1 << 16) for index in range(64)]
-        cycles = [5 + index for index in range(len(addresses))]
-        bulk = small_tlb()
-        loop = small_tlb()
-        assert bulk.access_many(addresses, cycles) == [
-            loop.access(a, c) for a, c in zip(addresses, cycles)
-        ]
-        bulk.finalize(cycle=1000)
-        loop.finalize(cycle=1000)
-        assert bulk.ace_entry_cycles == loop.ace_entry_cycles
-        assert bulk.stats == loop.stats
-
-    def test_bulk_scalar_cycle(self):
-        addresses = [index * 4096 for index in range(12)]
-        bulk = small_tlb()
-        loop = small_tlb()
-        assert bulk.access_many(addresses, 3, ace=False) == [
-            loop.access(a, 3, ace=False) for a in addresses
-        ]
