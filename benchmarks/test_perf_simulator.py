@@ -95,6 +95,7 @@ class TestSimulatorPerf:
     def test_parallel_backend_is_deterministic_and_measured(self):
         """Process-pool evaluation matches serial results; timings split."""
         metrics = bench_parallel_speedup(jobs=2, batch=4)
+        assert metrics["backend"] == "ResilientPoolBackend"  # the --jobs 2 default
         assert metrics["deterministic"], "parallel fitness values diverged from serial"
         assert metrics["speedup"] > 0
         assert metrics["warmup_seconds"] > 0

@@ -9,8 +9,8 @@ recorded baselines:
   GA fitness evaluation pays), cold (kernel build included) and warm.
 * ``BENCH_ga.json`` — one full quick-scale GA stressmark search (a small
   number of generations, the shape of every figure-5/7/8 experiment), plus
-  the wall-clock speedup of the process-pool backend over the serial backend
-  on one batch of independent evaluations, plus the compiled path's
+  the wall-clock speedup of the default ``--jobs`` pool over the serial
+  backend on one batch of independent evaluations, plus the compiled path's
   speedup over the interpreted reference on a GA-shaped batch of fresh
   genomes and on the workload-proxy suite (``kernel_vector``).
 
@@ -36,7 +36,7 @@ from typing import Optional
 from repro.api.session import Session
 from repro.api.spec import RunSpec
 from repro.ga.individual import Individual
-from repro.parallel.backends import ProcessPoolBackend, SerialBackend, resolve_jobs
+from repro.parallel.backends import SerialBackend, create_backend, resolve_jobs
 from repro.stressmark.generator import StressmarkEvaluator, StressmarkGenerator, reference_knobs
 from repro.stressmark.knobs import KnobSpace
 from repro.uarch.config import baseline_config
@@ -216,7 +216,11 @@ def bench_ga(jobs: Optional[int] = None, generations: int = 2, population: int =
 
 
 def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
-    """Serial vs process-pool wall clock on one batch of GA evaluations.
+    """Serial vs pooled wall clock on one batch of GA evaluations.
+
+    The pooled side is the backend ``create_backend(jobs)`` returns — the
+    one every ``--jobs`` run uses (the resilient pool for ``jobs > 1``);
+    ``backend`` records its class name.
 
     The batch mirrors one GA generation: ``batch`` independent fitness
     evaluations of distinct genomes.  Fitness values must be identical under
@@ -272,7 +276,7 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     # Pool first: workers fork before the parent compiles any fresh-batch
     # kernel, so the pool's steady batches and the serial reference both
     # meet those genomes cold.
-    pool = ProcessPoolBackend(jobs)
+    pool = create_backend(jobs)
     pool_outcomes = []
     steady_timings = []
     try:
@@ -305,6 +309,7 @@ def bench_parallel_speedup(jobs: Optional[int] = None, batch: int = 8) -> dict:
     pool_fitness = [fitness for run in pool_outcomes for fitness, _ in run]
     return {
         "jobs": jobs,
+        "backend": type(pool).__name__,
         "cores": os.cpu_count() or 1,
         "batch": batch,
         "serial_seconds": serial_seconds,

@@ -10,10 +10,12 @@ a single ``OutOfOrderCore.run``.  Per machine configuration there is:
   whole search (see :func:`repro.uarch.kernel.vector_kernel_for`);
 * **one functional warm-up per declared footprint** — the interpreter's
   ``warm_region`` sequence is replayed once, directly on flat integer
-  columns (:class:`VectorWarmState`), which are rematerialized per program
-  by list copies.  Warm-up is deterministic, draws no RNG and happens
-  entirely at cycle 0, so the copy is indistinguishable from a freshly
-  warmed hierarchy;
+  columns (:class:`VectorWarmState`).  Each program's hierarchy copies the
+  per-slot columns but shares the template's per-set dicts, copying a
+  set's dict only on that set's first miss (copy-on-write), so setup cost
+  follows the sets a program touches rather than the cache size.  Warm-up
+  is deterministic, draws no RNG and happens entirely at cycle 0, so the
+  copy is indistinguishable from a freshly warmed hierarchy;
 * **one operand plan per (config, batch)** — the interpreter's 19-field
   per-op info tuples, memoized by (config digest, sorted program digests)
   in process and in the attached ArtifactStore.
@@ -45,10 +47,12 @@ incrementally — so results are bit-identical to the interpreted reference
 byte-compare).  All arithmetic is on Python ints, which cannot overflow.
 
 Programs the lowering cannot express run through
-:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interpreted` instead, and
-each such fallback bumps ``STATS.fallbacks``: empty bodies, explicit setup
-sections, oversize bodies or dynamic-op counts, ops that resolve their
-address twice, negative addresses, and a kernel that fails to build.
+:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interpreted` instead; each
+such fallback bumps ``STATS.fallbacks`` and its reason's count in
+``STATS.fallback_reasons``: ``setup_section``, ``empty_body``,
+``oversize_body``, ``op_budget`` (too many dynamic ops),
+``double_resolve`` (an op resolves its address twice),
+``negative_address`` and ``kernel_build_failure``.
 """
 
 from __future__ import annotations
@@ -77,7 +81,15 @@ PLAN_CACHE_LIMIT = 32
 
 
 class Unvectorizable(Exception):
-    """This program cannot be lowered to columns; run it interpreted."""
+    """This program cannot be lowered to columns; run it interpreted.
+
+    ``reason`` is the key the fallback is counted under in
+    ``STATS.fallback_reasons``.
+    """
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
 
 
 class VectorStats:
@@ -89,11 +101,17 @@ class VectorStats:
     def reset(self) -> None:
         self.vector_runs = 0
         self.fallbacks = 0
+        self.fallback_reasons: dict[str, int] = {}
         self.warm_builds = 0
         self.warm_hits = 0
         self.plans_built = 0
         self.plan_memo_hits = 0
         self.plan_store_hits = 0
+
+    def fallback(self, reason: str) -> None:
+        """Count one program sent to the interpreter, and why."""
+        self.fallbacks += 1
+        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
 
 
 STATS = VectorStats()
@@ -116,18 +134,20 @@ def clear_vector_caches() -> None:
     STATS.reset()
 
 
-def supports_vector(program: "Program") -> bool:
-    """Whether the column lowering can express this program at all.
+def unsupported_reason(program: "Program") -> Optional[str]:
+    """Why the column lowering cannot express this program, or ``None``.
 
     Explicit setup sections replay stateful warm-up the columns cannot
     model; empty bodies have nothing to lower; oversize bodies are not
     worth specializing.
     """
-    return (
-        bool(program.body)
-        and not program.setup
-        and len(program.body) <= _kernel.MAX_KERNEL_BODY
-    )
+    if program.setup:
+        return "setup_section"
+    if not program.body:
+        return "empty_body"
+    if len(program.body) > _kernel.MAX_KERNEL_BODY:
+        return "oversize_body"
+    return None
 
 
 # --------------------------------------------------------------- predictor
@@ -265,7 +285,7 @@ def _memory_columns(
         issue_resolve = (not is_nop) and fixed_latency is None
         commit_resolve = is_store and pattern is not None
         if issue_resolve and commit_resolve:
-            raise Unvectorizable("op resolves its address twice per instance")
+            raise Unvectorizable("double_resolve", "op resolves its address twice per instance")
         if issue_resolve or commit_resolve:
             slots.append((index, pattern.resolve, []))
 
@@ -284,7 +304,7 @@ def _memory_columns(
                 if address < 0:
                     # The reference raises on the first negative address;
                     # the interpreted fallback reproduces that exact error.
-                    raise Unvectorizable("negative address stream")
+                    raise Unvectorizable("negative_address")
                 line = address // line_bytes
                 parts[address] = (
                     address,
@@ -320,7 +340,7 @@ def build_columns(
     """
     total_ops = full_iters * len(body_infos) + tail_ops
     if total_ops > VECTOR_MAX_OPS:
-        raise Unvectorizable(f"{total_ops} dynamic ops exceed the column budget")
+        raise Unvectorizable("op_budget", f"{total_ops} dynamic ops exceed the column budget")
     if frontend_miss_rate > 0.0:
         draw = frontend_rng.raw().random
         frontend = [
@@ -347,8 +367,12 @@ def build_columns(
 class VectorHierarchy:
     """DL1 + L2 + DTLB (+ L2 TLB) flattened to integer columns.
 
-    One object per program run, rematerialized from a warmed
-    :class:`VectorWarmState` by shallow list copies.  Semantically a
+    One object per program run, materialized from a warmed
+    :class:`VectorWarmState`.  The per-slot columns are flat copies; the
+    per-set tag dicts start out as the template's own objects
+    (``dl1_shared`` / ``l2_shared``) and a set's dict is copied on that
+    set's first miss, before its first insert or delete, so the template is
+    never mutated and hits only read it.  Semantically a
     statement-for-statement replica of :meth:`MemoryHierarchy.access_parts`
     restricted to what the simulation result can observe: latencies, access
     and miss counts, the load-side L2 miss counter, and integer ACE cycle
@@ -364,10 +388,10 @@ class VectorHierarchy:
         "l2_line_bytes", "l2_num_sets", "l2_word_bytes", "l2_assoc", "l2_wpl",
         "has_l2_tlb", "l2_tlb_page_bytes",
         "dl1_word_bits", "l2_word_bits", "dtlb_entry_bits", "l2_tlb_entry_bits",
-        "dl1_sets", "dl1_line_no", "dl1_dirty", "dl1_dirty_ace", "dl1_lu",
+        "dl1_sets", "dl1_shared", "dl1_line_no", "dl1_dirty", "dl1_dirty_ace", "dl1_lu",
         "dl1_ws", "dl1_free", "dl1_accesses", "dl1_misses",
         "dl1_ace_cycles", "dl1_wa_count", "dl1_wa_sum",
-        "l2_sets", "l2_lu", "l2_ws", "l2_free", "l2_accesses", "l2_misses",
+        "l2_sets", "l2_shared", "l2_lu", "l2_ws", "l2_free", "l2_accesses", "l2_misses",
         "l2_ace_cycles", "l2_wa_count", "l2_wa_sum",
         "dtlb_map", "dtlb_first", "dtlb_last", "dtlb_lu", "dtlb_rec",
         "dtlb_free", "dtlb_accesses", "dtlb_misses", "dtlb_ace_cycles",
@@ -436,6 +460,8 @@ class VectorHierarchy:
         evicted_ace = False
         if slot is None:
             self.dl1_misses += 1
+            if cache_set is self.dl1_shared[set_index]:  # first miss: copy on write
+                cache_set = self.dl1_sets[set_index] = dict(cache_set)
             if len(cache_set) >= self.dl1_assoc:
                 lu = self.dl1_lu
                 best = None
@@ -526,6 +552,8 @@ class VectorHierarchy:
         ws = self.l2_ws
         if slot is None:
             self.l2_misses += 1
+            if cache_set is self.l2_shared[set_index]:  # first miss: copy on write
+                cache_set = self.l2_sets[set_index] = dict(cache_set)
             if len(cache_set) >= self.l2_assoc:
                 lu = self.l2_lu
                 best = None
@@ -685,8 +713,9 @@ def install_trackers(ledger, hierarchy: VectorHierarchy) -> None:
 # The interpreter warms each run's hierarchy with ``MemoryHierarchy.
 # warm_region`` once per declared footprint region.  The functions below
 # perform the same sequence of installs, LRU victim choices and lifetime
-# events directly on the flat template state a VectorHierarchy copies, so a
-# footprint is warmed once per process without building the object graph.
+# events directly on the flat template every VectorHierarchy starts from,
+# so a footprint is warmed once per process without building the object
+# graph.
 # Warm-up happens entirely at cycle 0: every lifetime or residency interval
 # it opens or closes has zero length, so it credits no ACE time and every
 # live ACE write it leaves starts at cycle 0 (``wa_sum`` stays 0).
@@ -733,7 +762,13 @@ def _warm_lines(
     flat: list, cache_config, first_address: int, count: int,
     dirty: bool, ace: bool, word_fraction: float,
 ) -> None:
-    """:meth:`Cache.warm_lines` at cycle 0 on a flat cache template."""
+    """:meth:`Cache.warm_lines` at cycle 0 on a flat cache template.
+
+    Every line warm-up installs has ``last_use == 0``, so the LRU victim
+    (the reference's first minimum) is always the set's oldest entry.
+    A slot popped off the free list has all its words cleared already, so
+    only a re-warmed resident line needs its live ACE writes recounted.
+    """
     sets, line_no, dirty_bits, dirty_ace = flat[_SETS], flat[_LINE_NO], flat[_DIRTY], flat[_DIRTY_ACE]
     last_use, word_state, free = flat[_LAST_USE], flat[_WORD_STATE], flat[_FREE]
     num_sets = cache_config.num_sets
@@ -742,38 +777,41 @@ def _warm_lines(
     touched = int(round(word_fraction * words_per_line))
     # The lifetime state warm-up leaves: (WRITE if dirty else FILL, 0, dirty and ace).
     packed = (5 if ace else 4) if dirty else 0
+    live = touched if packed == 5 else 0
     fill = [packed] * touched
     cleared = [-1] * words_per_line
     mark_dirty = bool(dirty and touched)
+    mark_dirty_ace = mark_dirty and ace
+    wa_count = flat[_WA_COUNT]
     first_line = first_address // cache_config.line_bytes
     for line_number in range(first_line, first_line + count):
-        cache_set = sets[line_number % num_sets]
-        tag = line_number // num_sets
+        tag, set_index = divmod(line_number, num_sets)
+        cache_set = sets[set_index]
         slot = cache_set.get(tag)
         if slot is None:
             if len(cache_set) >= associativity:
-                victim_tag = min(cache_set, key=lambda entry: last_use[cache_set[entry]])
-                victim = cache_set.pop(victim_tag)
+                victim = cache_set.pop(next(iter(cache_set)))
                 base = victim * words_per_line
-                flat[_WA_COUNT] -= word_state[base:base + words_per_line].count(5)
+                wa_count -= word_state[base:base + words_per_line].count(5)
                 word_state[base:base + words_per_line] = cleared
                 free.append(victim)
             slot = free.pop()
             cache_set[tag] = slot
             line_no[slot] = line_number
-            dirty_bits[slot] = False
-            dirty_ace[slot] = False
-        if touched:
+            dirty_bits[slot] = mark_dirty
+            dirty_ace[slot] = mark_dirty_ace
             base = slot * words_per_line
-            flat[_WA_COUNT] -= word_state[base:base + touched].count(5)
-            word_state[base:base + touched] = fill
-            if packed == 5:
-                flat[_WA_COUNT] += touched
+        else:
+            base = slot * words_per_line
+            wa_count -= word_state[base:base + touched].count(5)
+            if mark_dirty:
+                dirty_bits[slot] = True
+                if ace:
+                    dirty_ace[slot] = True
+        word_state[base:base + touched] = fill
+        wa_count += live
         last_use[slot] = 0
-        if mark_dirty:
-            dirty_bits[slot] = True
-            if ace:
-                dirty_ace[slot] = True
+    flat[_WA_COUNT] = wa_count
 
 
 def _warm_page(flat: list, page: int, ace: bool, recurrent: bool) -> None:
@@ -830,7 +868,11 @@ def _warm_region(
 
 
 class VectorWarmState:
-    """Warmed flat hierarchy state, rematerialized per program by list copies."""
+    """Warmed flat hierarchy state: the read-only template of every run.
+
+    Nothing mutates it after :meth:`warm`; :meth:`materialize` copies the
+    per-slot columns and shares the per-set dicts copy-on-write.
+    """
 
     __slots__ = ("constants", "dl1", "l2", "dtlb", "l2_tlb")
 
@@ -884,13 +926,19 @@ class VectorWarmState:
         )
 
     def materialize(self) -> VectorHierarchy:
-        """A fresh mutable VectorHierarchy seeded from the warmed template."""
+        """A fresh VectorHierarchy over the warmed template.
+
+        Costs one pass over the per-slot columns plus a shallow copy of each
+        set list; the set dicts themselves are copied lazily by
+        :meth:`VectorHierarchy.access` on each set's first miss.
+        """
         vh = VectorHierarchy.__new__(VectorHierarchy)
         for name, value in self.constants.items():
             setattr(vh, name, value)
 
         sets, line_no, dirty, dirty_ace, lu, ws, free, acc, miss, ace, wa_c, wa_s = self.dl1
-        vh.dl1_sets = [dict(entry) for entry in sets]
+        vh.dl1_sets = list(sets)
+        vh.dl1_shared = sets
         vh.dl1_line_no = line_no.copy()
         vh.dl1_dirty = dirty.copy()
         vh.dl1_dirty_ace = dirty_ace.copy()
@@ -904,7 +952,8 @@ class VectorWarmState:
         vh.dl1_wa_sum = wa_s
 
         sets, _, _, _, lu, ws, free, acc, miss, ace, wa_c, wa_s = self.l2
-        vh.l2_sets = [dict(entry) for entry in sets]
+        vh.l2_sets = list(sets)
+        vh.l2_shared = sets
         vh.l2_lu = lu.copy()
         vh.l2_ws = ws.copy()
         vh.l2_free = free.copy()
@@ -1047,7 +1096,7 @@ def run_many(
     Returns results aligned with ``programs``.  A program the column
     lowering cannot express — or every program, when the kernel fails to
     build — runs through the interpreted reference instead, and each such
-    fallback bumps ``STATS.fallbacks``.
+    fallback is counted in ``STATS`` under its reason.
     """
     config = core.config
     kernel = _kernel.vector_kernel_for(config) if programs else None
@@ -1059,14 +1108,15 @@ def run_many(
     results = []
     for program, digest in zip(programs, digests):
         result = None
-        if kernel is not None and supports_vector(program):
+        reason = "kernel_build_failure" if kernel is None else unsupported_reason(program)
+        if reason is None:
             warm = warm_state_for(config, program)
             try:
                 result = kernel(core, program, max_instructions, plans[digest], warm)
-            except Unvectorizable:
-                result = None
+            except Unvectorizable as error:
+                reason = error.reason
         if result is None:
-            STATS.fallbacks += 1
+            STATS.fallback(reason)
             result = core.run_interpreted(program, max_instructions, True)
         else:
             STATS.vector_runs += 1

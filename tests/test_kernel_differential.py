@@ -14,6 +14,8 @@ that the column plane actually engaged (no silent fallback).
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -336,7 +338,8 @@ def _double_resolve(monkeypatch, core):
 
 class TestFallbacks:
     """Every reason the column plane declines a program lands on the
-    interpreter — bit-identical — and bumps ``STATS.fallbacks``."""
+    interpreter — bit-identical — bumps ``STATS.fallbacks`` and is counted
+    under its reason in ``STATS.fallback_reasons``."""
 
     @pytest.mark.parametrize(
         "reason",
@@ -374,6 +377,7 @@ class TestFallbacks:
         result = VECTOR.run_one(core, program, 600)
         assert_identical(reference, result, f"fallback-{reason}")
         assert kernel_vector.STATS.fallbacks == 1
+        assert kernel_vector.STATS.fallback_reasons == {reason: 1}
         assert kernel_vector.STATS.vector_runs == 0
 
     def test_negative_address_raises_like_the_interpreter(self):
@@ -388,6 +392,16 @@ class TestFallbacks:
             VECTOR.run_one(core, program, 600)
         assert str(vector_error.value) == str(reference_error.value)
         assert kernel_vector.STATS.fallbacks == 1
+        assert kernel_vector.STATS.fallback_reasons == {"negative_address": 1}
+
+    def test_reasons_reset_with_the_counters(self):
+        kernel.clear_kernels()
+        core = OutOfOrderCore(baseline_config(), seed=3)
+        VECTOR.run_one(core, _with_setup(random_program(85, "reset-check")), 300)
+        assert kernel_vector.STATS.fallback_reasons == {"setup_section": 1}
+        kernel_vector.STATS.reset()
+        assert kernel_vector.STATS.fallbacks == 0
+        assert kernel_vector.STATS.fallback_reasons == {}
 
 
 class TestBatchKernelDifferential:
@@ -459,8 +473,8 @@ class TestBatchKernelDifferential:
         config = baseline_config()
         with_setup = _with_setup(random_program(53, "batch-setup"))
         plain = random_program(54, "batch-plain")
-        assert not kernel_vector.supports_vector(with_setup)
-        assert kernel_vector.supports_vector(plain)
+        assert kernel_vector.unsupported_reason(with_setup) == "setup_section"
+        assert kernel_vector.unsupported_reason(plain) is None
         self._assert_batch_alias(config, [with_setup, plain], 1_500, "batch-setup-mix")
         assert kernel_vector.STATS.warm_builds == 1  # only the plain program shares
 
@@ -583,6 +597,110 @@ class TestVectorKernelDifferential:
                 results[index],
                 f"vector-backend[{index}]",
             )
+
+
+
+def _thrashing_program(name: str, footprint: list) -> Program:
+    """Loads and stores far beyond every cache, over a warm dirty footprint:
+    DL1 and L2 misses, evictions and dirty DL1 writebacks on most ops."""
+    body = [
+        make_store(StridedPattern(base=1 << 23, stride=4160, region=1 << 22), srcs=[1]),
+        make_load(2, RandomPattern(base=0, region=1 << 22)),
+        make_alu(3, [2]),
+        make_store(RandomPattern(base=1 << 20, region=1 << 21), srcs=[3]),
+        make_load(4, StridedPattern(base=1 << 19, stride=64, region=1 << 20)),
+        make_branch(srcs=[4], taken_probability=0.4),
+    ]
+    return Program(name=name, body=body, iterations=400, warmup_regions=list(footprint))
+
+
+class TestWarmTemplateCopyOnWrite:
+    """Runs share the warm template's set dicts until a set's first miss.
+
+    Each footprint is warmed once and every run of a batch starts from the
+    same template, so a run that mutated a shared dict would leak into the
+    next one; the footprint properties above run each footprint only once
+    and could not see such a leak.
+    """
+
+    @pytest.mark.parametrize("config_factory", [baseline_config, extended_config, config_a])
+    def test_batch_leaves_template_untouched(self, config_factory, monkeypatch):
+        kernel.clear_kernels()
+        config = config_factory()
+        footprint = [
+            WarmupRegion(base=0, size_bytes=1 << 21, dirty=True, ace=True, word_fraction=0.75),
+            WarmupRegion(base=1 << 22, size_bytes=1 << 15, dirty=True, recurrent=True),
+        ]
+        programs = [_thrashing_program("cow-thrash", footprint)]
+        for seed in (11, 12, 13):
+            program = random_program(seed, f"cow-{seed}")
+            program.warmup_regions = list(footprint)
+            programs.append(program)
+        warm = kernel_vector.warm_state_for(config, programs[0])
+        snapshot = copy.deepcopy((warm.dl1, warm.l2, warm.dtlb, warm.l2_tlb))
+
+        writebacks = []
+        l2_access = kernel_vector.VectorHierarchy._l2_access
+
+        def counting_l2_access(self, address, is_write, cycle, ace):
+            if is_write:
+                writebacks.append(address)
+            return l2_access(self, address, is_write, cycle, ace)
+
+        monkeypatch.setattr(kernel_vector.VectorHierarchy, "_l2_access", counting_l2_access)
+        core = OutOfOrderCore(config, seed=3)
+        results = kernel_vector.run_many(core, programs, 1_500)
+        assert kernel_vector.STATS.vector_runs == len(programs)
+        assert kernel_vector.STATS.warm_builds == 1
+        assert writebacks, "no dirty DL1 line was written back to the L2"
+        thrash = results[0].stats
+        assert thrash.dl1_miss_rate > 0.0 and thrash.l2_miss_rate > 0.0
+
+        for index, (program, result) in enumerate(zip(programs, results)):
+            reference = core.run_interpreted(program, max_instructions=1_500)
+            assert_identical(reference, result, f"cow/{config.name}[{index}]")
+        assert (warm.dl1, warm.l2, warm.dtlb, warm.l2_tlb) == snapshot
+        again = kernel_vector.run_many(core, programs[:1], 1_500)[0]
+        assert_identical(results[0], again, f"cow/{config.name} rerun")
+
+
+#: Warm-up footprints at the edges of the flat replay, per config.
+WARMUP_EDGE_CASES = {
+    "dl1_sized": lambda config: [WarmupRegion(base=1 << 16, size_bytes=config.dl1.size_bytes)],
+    "l2_sized": lambda config: [WarmupRegion(base=1 << 16, size_bytes=config.l2.size_bytes)],
+    "larger_than_l2": lambda config: [
+        WarmupRegion(base=0, size_bytes=3 * config.l2.size_bytes + 4096)
+    ],
+    "unaligned_base": lambda config: [WarmupRegion(base=4096 + 24, size_bytes=(1 << 16) + 40)],
+    "word_fraction_0": lambda config: [
+        WarmupRegion(base=4096, size_bytes=1 << 17, word_fraction=0.0)
+    ],
+    "word_fraction_1": lambda config: [
+        WarmupRegion(base=4096, size_bytes=1 << 17, word_fraction=1.0)
+    ],
+    "clean": lambda config: [WarmupRegion(base=4096, size_bytes=1 << 17, dirty=False)],
+    "not_ace": lambda config: [WarmupRegion(base=4096, size_bytes=1 << 17, ace=False)],
+    # The second region's upper half maps onto the sets that hold the
+    # first region's lower half: warm-up itself evicts in DL1 and L2.
+    "overlap_evicts": lambda config: [
+        WarmupRegion(base=0, size_bytes=config.l2.size_bytes, word_fraction=0.5),
+        WarmupRegion(
+            base=config.l2.size_bytes // 2, size_bytes=config.l2.size_bytes,
+            dirty=False, word_fraction=0.75,
+        ),
+    ],
+}
+
+
+class TestWarmupEdgeCases:
+    @pytest.mark.parametrize("config_factory", [baseline_config, config_a])
+    @pytest.mark.parametrize("case", sorted(WARMUP_EDGE_CASES))
+    def test_matches_interpreter(self, case, config_factory):
+        config = config_factory()
+        program = random_program(29, f"warm-{case}")
+        program.warmup_regions = WARMUP_EDGE_CASES[case](config)
+        reference, candidate = run_both(config, program, 1_200)
+        assert_identical(reference, candidate, f"warm-{case}/{config.name}")
 
 
 _NUMPY_BLOCKED_RUN = """
